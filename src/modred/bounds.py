@@ -14,20 +14,22 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyGrid, InvalidParams, Unsupported
-from .gaussian import Gaussian, w2_1d
+from .errors import EmptyGrid, InvalidParams
 from .models import (
-    coupled_full_law,
-    coupled_reduced_law,
+    GridLaw,
+    _check_time,
+    _require_normalized,
     equilibrium_laws,
-    oscillator_marginal_law,
-    oscillator_reduced_law,
+    grid_laws,
 )
 from .reduction import CoupledParams, OscillatorParams
 
 # Bound satisfaction tolerance, absorbing roundoff at t=0 where both sides vanish.
 SATISFY_RTOL = 1e-12
 SATISFY_ATOL = 1e-15
+
+# Largest coupling for which the small-coupling bound is stated.
+SMALL_COUPLING_K_MAX = 10.0
 
 
 @dataclass(frozen=True)
@@ -42,16 +44,9 @@ class BoundReport:
     margin: float
 
 
-def _make_report(name: str, t: float, exact_sq: float, bound: float) -> BoundReport:
-    satisfied = exact_sq <= bound * (1.0 + SATISFY_RTOL) + SATISFY_ATOL
-    return BoundReport(
-        name=name,
-        t=t,
-        exact_sq=exact_sq,
-        bound=bound,
-        satisfied=satisfied,
-        margin=bound - exact_sq,
-    )
+def bound_satisfied(exact_sq, bound):
+    """Whether exact_sq <= bound up to the rounding allowance; scalars or arrays."""
+    return exact_sq <= bound * (1.0 + SATISFY_RTOL) + SATISFY_ATOL
 
 
 class EquilibriumRate(NamedTuple):
@@ -62,17 +57,27 @@ class EquilibriumRate(NamedTuple):
     rate: float
 
 
-def _w2_sq(g1: Gaussian, g2: Gaussian) -> float:
-    return w2_1d(g1, g2) ** 2
-
-
-def osc_w2_exact(p: OscillatorParams, t: float) -> float:
-    """Exact squared W2 between the oscillator marginal and reduced laws."""
-    full = oscillator_marginal_law(p, t)
-    reduced = oscillator_reduced_law(p, t)
-    dm = full.mean[0] - reduced.mean[0]
-    ds = math.sqrt(full.variance) - math.sqrt(reduced.variance)
+def _w2_sq(mean1, var1, mean2, var2):
+    """Squared W2 (m1-m2)^2 + (s1-s2)^2 between univariate Gaussians, elementwise."""
+    dm = mean1 - mean2
+    ds = np.sqrt(var1) - np.sqrt(var2)
     return dm * dm + ds * ds
+
+
+def _at(t, values: np.ndarray):
+    """values, computed on _check_time(t), as a float for a single time t."""
+    return values if np.ndim(t) else float(values[0])
+
+
+def _exact_w2_sq(p, t):
+    full, reduced = grid_laws(p, _check_time(t))
+    return _at(t, _w2_sq(*full, *reduced))
+
+
+def osc_w2_exact(p: OscillatorParams, t):
+    """Exact squared W2 between the oscillator marginal and reduced laws, at a
+    time t or on a 1-D array of times t."""
+    return _exact_w2_sq(p, t)
 
 
 def osc_highfriction_bound(p: OscillatorParams) -> float:
@@ -81,13 +86,13 @@ def osc_highfriction_bound(p: OscillatorParams) -> float:
     return 4.0 / gap_sq * ((p.omega * abs(p.x0) + abs(p.v0)) ** 2 + 4.0 / p.beta)
 
 
-def osc_longtime_bound(p: OscillatorParams, t: float) -> float:
+def osc_longtime_bound(p: OscillatorParams, t):
     """Exponential closeness bound with prefactor
-    (omega|x0|+|v0|)/gap + 10/(beta gap^2)."""
-    _check_time(t)
+    (omega|x0|+|v0|)/gap + 10/(beta gap^2), at a time t or on a 1-D array of
+    times t."""
     gap = p.rate_gap
     prefactor = (p.omega * abs(p.x0) + abs(p.v0)) / gap + 10.0 / (p.beta * gap**2)
-    return prefactor * math.exp(-p.rate_slow * t)
+    return _at(t, prefactor * np.exp(-p.rate_slow * _check_time(t)))
 
 
 def osc_equilibrium_rate(p: OscillatorParams) -> EquilibriumRate:
@@ -109,20 +114,17 @@ def osc_equilibrium_rate(p: OscillatorParams) -> EquilibriumRate:
     )
 
 
-def coupled_w2_exact(p: CoupledParams, t: float) -> float:
-    """Exact squared W2 between the x1 marginal and the reduced law."""
-    full = coupled_full_law(p, t)
-    reduced = coupled_reduced_law(p, t)
-    dm = full.mean[0] - reduced.mean[0]
-    ds = math.sqrt(max(full.cov[0, 0], 0.0)) - math.sqrt(reduced.variance)
-    return dm * dm + ds * ds
+def coupled_w2_exact(p: CoupledParams, t):
+    """Exact squared W2 between the x1 marginal and the reduced law, at a time
+    t or on a 1-D array of times t."""
+    return _exact_w2_sq(p, t)
 
 
-def coupled_small_k_bound(p: CoupledParams, k_max: float = 10.0) -> float:
-    """Uniform-in-time bound k^2 (x2-x1)^2/(a^2 e^2) + k/(a^2 e), linear in k."""
+def _small_k_bound(p: CoupledParams, k_max: float) -> float | None:
+    """The small-coupling bound, or None for k > k_max, where it is not stated."""
     _require_normalized(p)
     if p.k > k_max:
-        raise InvalidParams(f"small-coupling bound assumes k <= {k_max}")
+        return None
     a_sq = p.a**2
     return (
         p.k**2 * (p.x2 - p.x1) ** 2 / (a_sq * math.e**2)
@@ -130,18 +132,26 @@ def coupled_small_k_bound(p: CoupledParams, k_max: float = 10.0) -> float:
     )
 
 
-def coupled_longtime_bound(p: CoupledParams, t: float) -> float:
-    """Pointwise dominating function
+def coupled_small_k_bound(p: CoupledParams, k_max: float = SMALL_COUPLING_K_MAX) -> float:
+    """Uniform-in-time bound k^2 (x2-x1)^2/(a^2 e^2) + k/(a^2 e), linear in k."""
+    bound = _small_k_bound(p, k_max)
+    if bound is None:
+        raise InvalidParams(f"small-coupling bound assumes k <= {k_max}")
+    return bound
+
+
+def coupled_longtime_bound(p: CoupledParams, t):
+    """Pointwise dominating function, at a time t or on a 1-D array of times t,
 
     (1/4)(x2-x1)^2 (1-e^{-2kt})^2 e^{2at} + (1/2)(1/(2k-a)) e^{2at} (1-e^{-4kt}).
     """
     _require_normalized(p)
-    _check_time(t)
+    times = _check_time(t)
     a, k = p.a, p.k
-    decay = math.exp(2.0 * a * t)
-    mean_part = 0.25 * (p.x2 - p.x1) ** 2 * math.expm1(-2.0 * k * t) ** 2 * decay
-    var_part = 0.5 / (2.0 * k - a) * decay * -math.expm1(-4.0 * k * t)
-    return mean_part + var_part
+    decay = np.exp(2.0 * a * times)
+    mean_part = 0.25 * (p.x2 - p.x1) ** 2 * np.expm1(-2.0 * k * times) ** 2 * decay
+    var_part = 0.5 / (2.0 * k - a) * decay * -np.expm1(-4.0 * k * times)
+    return _at(t, mean_part + var_part)
 
 
 def coupled_equilibrium_rate(p: CoupledParams) -> EquilibriumRate:
@@ -163,16 +173,6 @@ def coupled_equilibrium_rate(p: CoupledParams) -> EquilibriumRate:
     )
 
 
-def _check_time(t: float):
-    if not (isinstance(t, (int, float)) and math.isfinite(t)) or t < 0.0:
-        raise InvalidParams("t must be finite and non-negative")
-
-
-def _require_normalized(p: CoupledParams):
-    if not p.is_normalized:
-        raise Unsupported("bounds require a == d and unit noise strengths")
-
-
 def default_time_grid(rate: float, n_points: int = 60) -> np.ndarray:
     """Verification grid: linear on [0, 2/rate], geometric out to 20/rate."""
     if not (rate > 0.0 and math.isfinite(rate)):
@@ -185,84 +185,81 @@ def default_time_grid(rate: float, n_points: int = 60) -> np.ndarray:
     return np.concatenate([linear, geometric])
 
 
+def _rates(p) -> tuple[float, float]:
+    """Slow and fast relaxation rates of either model family."""
+    if isinstance(p, OscillatorParams):
+        return p.rate_slow, p.rate_fast
+    if isinstance(p, CoupledParams):
+        lam_slow, lam_fast = p.drift_eigenvalues()
+        return abs(lam_slow), abs(lam_fast)
+    raise InvalidParams(f"unsupported parameter type {type(p).__name__}")
+
+
 def model_time_grid(p, n_points: int = 60) -> np.ndarray:
     """Two-scale grid resolving both the slow relaxation and the fast transient."""
-    if isinstance(p, OscillatorParams):
-        slow, fast = p.rate_slow, p.rate_fast
-    elif isinstance(p, CoupledParams):
-        lam_slow, lam_fast = p.drift_eigenvalues()
-        slow, fast = abs(lam_slow), abs(lam_fast)
-    else:
-        raise InvalidParams(f"unsupported parameter type {type(p).__name__}")
+    slow, fast = _rates(p)
     return np.union1d(default_time_grid(slow, n_points), default_time_grid(fast, n_points))
 
 
 def _validate_grid(grid) -> np.ndarray:
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
+    if np.size(grid) == 0:
         raise EmptyGrid("time grid is empty")
-    if grid.ndim != 1 or not np.all(np.isfinite(grid)):
-        raise InvalidParams("time grid must be a finite 1-D array")
-    if np.any(grid < 0.0) or np.any(np.diff(grid) < 0.0):
-        raise InvalidParams("time grid must be sorted and non-negative")
+    if np.ndim(grid) != 1:
+        raise InvalidParams("time grid must be a 1-D array")
+    grid = _check_time(grid)
+    if np.any(np.diff(grid) < 0.0):
+        raise InvalidParams("time grid must be sorted")
     return grid
+
+
+def _w2_exact(p):
+    """osc_w2_exact or coupled_w2_exact, by the family of p."""
+    return osc_w2_exact if isinstance(p, OscillatorParams) else coupled_w2_exact
+
+
+def law_table(p, grid) -> tuple[np.ndarray, GridLaw, GridLaw, np.ndarray]:
+    """The validated grid, the retained-coordinate and reduced laws on it and
+    their exact squared W2."""
+    grid = _validate_grid(grid)
+    full, reduced = grid_laws(p, grid)
+    return grid, full, reduced, _w2_exact(p)(p, grid)
 
 
 def sup_exact_w2_sq(p, grid) -> float:
     """Largest exact squared W2 (original vs reduced) over the grid."""
     grid = _validate_grid(grid)
+    return float(np.max(_w2_exact(p)(p, grid)))
+
+
+def _bound_families(p, grid: np.ndarray, full: GridLaw, reduced: GridLaw, exact: np.ndarray):
+    """(name, exact W2^2, bound) arrays of every bound that applies to p.
+
+    The small-coupling bound is stated for k <= SMALL_COUPLING_K_MAX only, so
+    for stronger coupling its family is left out and the others still apply.
+    """
     if isinstance(p, OscillatorParams):
-        return max(osc_w2_exact(p, t) for t in grid)
-    if isinstance(p, CoupledParams):
-        return max(coupled_w2_exact(p, t) for t in grid)
-    raise InvalidParams(f"unsupported parameter type {type(p).__name__}")
-
-
-def _oscillator_families(p: OscillatorParams):
-    high = osc_highfriction_bound(p)
-    rates = osc_equilibrium_rate(p)
+        uniform = [("high_friction", osc_highfriction_bound(p))]
+        long_time = osc_longtime_bound(p, grid)
+        rates = osc_equilibrium_rate(p)
+    else:
+        small = _small_k_bound(p, SMALL_COUPLING_K_MAX)
+        uniform = [] if small is None else [("small_coupling", small)]
+        long_time = coupled_longtime_bound(p, grid)
+        rates = coupled_equilibrium_rate(p)
     eq_original, eq_reduced = equilibrium_laws(p)
+    decay = np.exp(-rates.rate * grid)
     return [
-        ("high_friction", lambda t: osc_w2_exact(p, t), lambda t: high),
-        ("long_time", lambda t: osc_w2_exact(p, t), lambda t: osc_longtime_bound(p, t)),
+        *((name, exact, np.full(grid.shape, value)) for name, value in uniform),
+        ("long_time", exact, long_time),
         (
             "equilibrium_rate_original",
-            lambda t: _w2_sq(oscillator_marginal_law(p, t), eq_original),
-            lambda t: (rates.c_original * math.exp(-rates.rate * t)) ** 2,
+            _w2_sq(*full, eq_original.mean[0], eq_original.variance),
+            (rates.c_original * decay) ** 2,
         ),
         (
             "equilibrium_rate_reduced",
-            lambda t: _w2_sq(oscillator_reduced_law(p, t), eq_reduced),
-            lambda t: (rates.c_reduced * math.exp(-rates.rate * t)) ** 2,
-        ),
-    ]
-
-
-def _coupled_families(p: CoupledParams):
-    small = coupled_small_k_bound(p)
-    rates = coupled_equilibrium_rate(p)
-    eq_original, eq_reduced = equilibrium_laws(p)
-
-    def first_marginal(t):
-        full = coupled_full_law(p, t)
-        return Gaussian(mean=full.mean[0], cov=max(full.cov[0, 0], 0.0))
-
-    return [
-        ("small_coupling", lambda t: coupled_w2_exact(p, t), lambda t: small),
-        (
-            "long_time",
-            lambda t: coupled_w2_exact(p, t),
-            lambda t: coupled_longtime_bound(p, t),
-        ),
-        (
-            "equilibrium_rate_original",
-            lambda t: _w2_sq(first_marginal(t), eq_original),
-            lambda t: (rates.c_original * math.exp(-rates.rate * t)) ** 2,
-        ),
-        (
-            "equilibrium_rate_reduced",
-            lambda t: _w2_sq(coupled_reduced_law(p, t), eq_reduced),
-            lambda t: (rates.c_reduced * math.exp(-rates.rate * t)) ** 2,
+            _w2_sq(*reduced, eq_reduced.mean[0], eq_reduced.variance),
+            (rates.c_reduced * decay) ** 2,
         ),
     ]
 
@@ -271,20 +268,21 @@ def verify_bounds(p, grid=None) -> list[BoundReport]:
     """Evaluate every applicable bound on the grid and report margins.
 
     Defaults to the 60-point grid at the slow relaxation rate.  Reports are
-    ordered by bound family and then by time.
+    ordered by bound family and then by time.  A coupled pair with
+    k > SMALL_COUPLING_K_MAX has no small_coupling rows.
     """
-    if isinstance(p, OscillatorParams):
-        families = _oscillator_families(p)
-        slow = p.rate_slow
-    elif isinstance(p, CoupledParams):
-        families = _coupled_families(p)
-        slow = abs(p.drift_eigenvalues()[0])
-    else:
-        raise InvalidParams(f"unsupported parameter type {type(p).__name__}")
-    grid = _validate_grid(default_time_grid(slow) if grid is None else grid)
+    grid, full, reduced, exact = law_table(
+        p, default_time_grid(_rates(p)[0]) if grid is None else grid
+    )
+    times = grid.tolist()
     reports = []
-    for name, exact_fn, bound_fn in families:
-        for t in grid:
-            t = float(t)
-            reports.append(_make_report(name, t, exact_fn(t), bound_fn(t)))
+    for name, exact_sq, bound in _bound_families(p, grid, full, reduced, exact):
+        rows = zip(
+            times,
+            exact_sq.tolist(),
+            bound.tolist(),
+            bound_satisfied(exact_sq, bound).tolist(),
+            (bound - exact_sq).tolist(),
+        )
+        reports += [BoundReport(name, *row) for row in rows]
     return reports

@@ -19,8 +19,10 @@ import click
 import numpy as np
 
 from .bounds import (
+    bound_satisfied,
     coupled_small_k_bound,
     coupled_w2_exact,
+    law_table,
     model_time_grid,
     osc_highfriction_bound,
     osc_w2_exact,
@@ -28,12 +30,6 @@ from .bounds import (
     verify_bounds,
 )
 from .errors import ModredError
-from .models import (
-    coupled_full_law,
-    coupled_reduced_law,
-    oscillator_marginal_law,
-    oscillator_reduced_law,
-)
 from .montecarlo import (
     SimConfig,
     bootstrap_w2_se,
@@ -279,32 +275,10 @@ def cmd_law(config_path, **flags):
         if cfg.sweep is not None:
             raise ConfigError("law does not support --sweep (use the sweep command)")
         params = _make_params(cfg)
-        grid = _make_grid(cfg, params)
-        rows = []
-        for t in grid:
-            t = float(t)
-            if isinstance(params, OscillatorParams):
-                full = oscillator_marginal_law(params, t)
-                full_mean, full_var = full.mean[0], full.variance
-                reduced = oscillator_reduced_law(params, t)
-                w2_sq = osc_w2_exact(params, t)
-            else:
-                joint = coupled_full_law(params, t)
-                full_mean, full_var = joint.mean[0], max(joint.cov[0, 0], 0.0)
-                reduced = coupled_reduced_law(params, t)
-                w2_sq = coupled_w2_exact(params, t)
-            rows.append(
-                {
-                    "t": t,
-                    "mean_full": full_mean,
-                    "var_full": full_var,
-                    "mean_reduced": reduced.mean[0],
-                    "var_reduced": reduced.variance,
-                    "w2": math.sqrt(max(w2_sq, 0.0)),
-                    "w2_sq": w2_sq,
-                }
-            )
+        grid, full, reduced, w2_sq = law_table(params, _make_grid(cfg, params))
         header = ["t", "mean_full", "var_full", "mean_reduced", "var_reduced", "w2", "w2_sq"]
+        columns = (grid, *full, *reduced, np.sqrt(np.maximum(w2_sq, 0.0)), w2_sq)
+        rows = [dict(zip(header, values)) for values in zip(*(c.tolist() for c in columns))]
         _emit(rows, header, cfg, "law")
         return 0
 
@@ -363,7 +337,7 @@ def cmd_sweep(config_path, **flags):
             else:
                 bound = coupled_small_k_bound(params)
             ratio = sup / bound
-            all_ok &= sup <= bound * (1.0 + 1e-12) + 1e-15
+            all_ok &= bound_satisfied(sup, bound)
             rows.append(
                 {
                     "param": name,

@@ -108,6 +108,16 @@ class TestBoundsCommand:
         assert len(lines) == expected_total
         assert all(line.endswith(",1") for line in lines)
 
+    def test_strong_coupling_certifies_remaining_families(self, runner):
+        result = invoke(runner, ["bounds", "--model", "coupled", "--a", "-1", "--k", "20", "--x1", "1"])
+        assert result.exit_code == 0
+        lines = result.output.strip().split("\n")[1:]
+        names = [line.split(",")[0] for line in lines]
+        assert list(dict.fromkeys(names)) == [
+            "long_time", "equilibrium_rate_original", "equilibrium_rate_reduced"
+        ]
+        assert all(line.endswith(",1") for line in lines)
+
 
 class TestSweepCommand:
     def test_gamma_sweep_decreasing(self, runner):
@@ -136,6 +146,12 @@ class TestSweepCommand:
         from modred import osc_highfriction_bound
 
         assert bound == osc_highfriction_bound(p)
+
+    def test_coupled_sweep_refuses_strong_coupling(self, runner):
+        result = invoke(runner, ["sweep", "--model", "coupled", "--a", "-1", "--k", "1",
+                                 "--x1", "1", "--sweep", "k=1,20"])
+        assert result.exit_code == 2
+        assert "small-coupling bound assumes k <= 10.0" in result.output
 
     def test_sweep_requires_spec(self, runner):
         result = invoke(runner, ["sweep", *OSC_ARGS])
