@@ -25,10 +25,6 @@ class Singular(ModredError):
     """Linear system is numerically singular."""
 
 
-class QuadratureFailure(ModredError):
-    """Adaptive quadrature did not reach tolerance within the panel budget."""
-
-
 class Unsupported(ModredError):
     """Closed form only available for the normalized symmetric case."""
 

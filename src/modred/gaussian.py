@@ -78,20 +78,28 @@ def w2_2d(g1: Gaussian, g2: Gaussian) -> float:
     """W2 distance between bivariate Gaussians.
 
     W2^2 = |u - v|^2 + tr U + tr V - 2 tr sqrt(V^{1/2} U V^{1/2}).
+
+    The covariance term is evaluated as min_Q ||U^{1/2} - V^{1/2} Q||_F^2
+    over rotations Q, whose minimiser is the polar factor of
+    V^{1/2} U^{1/2}: a sum of squares, so it keeps its relative accuracy
+    when U and V nearly agree, where the trace form above cancels.
     """
     _require_dim(g1, 2, "g1")
     _require_dim(g2, 2, "g2")
-    u_cov, v_cov = g1.cov, g2.cov
-    root_v = sqrtm_spd2(v_cov)
-    cross = sqrtm_spd2(root_v @ u_cov @ root_v)
+    root_u = sqrtm_spd2(g1.cov)
+    root_v = sqrtm_spd2(g2.cov)
+    m = root_v @ root_u
+    # det m >= 0, so the maximiser of tr(Q^T m) is a rotation
+    cos_part = m[0, 0] + m[1, 1]
+    sin_part = m[1, 0] - m[0, 1]
+    norm = math.hypot(cos_part, sin_part)
+    if norm == 0.0:
+        q = np.eye(2)
+    else:
+        q = np.array([[cos_part, -sin_part], [sin_part, cos_part]]) / norm
+    resid = root_u - root_v @ q
     diff = g1.mean - g2.mean
-    w2_sq = (
-        float(diff @ diff)
-        + float(np.trace(u_cov))
-        + float(np.trace(v_cov))
-        - 2.0 * float(np.trace(cross))
-    )
-    return math.sqrt(max(w2_sq, 0.0))
+    return math.sqrt(float(diff @ diff) + float(np.sum(resid * resid)))
 
 
 def marginal(g: Gaussian, coord: int) -> Gaussian:

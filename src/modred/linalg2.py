@@ -2,7 +2,8 @@
 
 Everything here is exact up to rounding: matrix exponential, SPD square
 root, eigenvalues and the stationary-covariance (Lyapunov) solve, all via
-2x2 closed forms.  Matrices are plain (2, 2) float arrays.
+2x2 closed forms, and the projection onto the PSD cone.  Matrices are
+plain (2, 2) float arrays (``project_psd`` also takes (1, 1) ones).
 """
 
 from __future__ import annotations
@@ -123,6 +124,21 @@ def _check_symmetric(m: np.ndarray, scale: float, name: str) -> np.ndarray:
     return 0.5 * m + 0.5 * m.T
 
 
+def project_psd(m: np.ndarray) -> np.ndarray:
+    """Symmetrize a 1x1 or 2x2 matrix and clip negative eigenvalues to zero.
+
+    The symmetrized matrix is returned as it is when no eigenvalue is
+    negative, so an exactly symmetric PSD input comes back bit for bit.
+    """
+    sym = 0.5 * (m + m.T)
+    if sym.shape == (1, 1):
+        return np.maximum(sym, 0.0)
+    w, vecs = np.linalg.eigh(sym)
+    if w[0] >= 0.0:
+        return sym
+    return (vecs * np.clip(w, 0.0, None)) @ vecs.T
+
+
 def sqrtm_spd2(m) -> np.ndarray:
     """Unique SPD square root of a symmetric PSD 2x2 matrix.
 
@@ -139,10 +155,8 @@ def sqrtm_spd2(m) -> np.ndarray:
     if lo < -SYM_TOL * scale:
         raise NotSPD("matrix has a negative eigenvalue beyond tolerance")
     if lo < 0.0:
-        # roundoff-level negative eigenvalue: project onto the PSD cone
-        w, vecs = np.linalg.eigh(sym)
-        w = np.clip(w, 0.0, None)
-        sym = (vecs * w) @ vecs.T
+        # roundoff-level negative eigenvalue
+        sym = project_psd(sym)
     det = max(sym[0, 0] * sym[1, 1] - sym[0, 1] * sym[1, 0], 0.0)
     root_det = math.sqrt(det)
     denom = math.sqrt(sym[0, 0] + sym[1, 1] + 2.0 * root_det)

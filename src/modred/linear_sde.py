@@ -7,25 +7,55 @@ law stays Gaussian, with
     mean(t) = e^{tC} mean(0)
     cov(t)  = e^{tC} cov(0) e^{tC^T} + 2 int_0^t e^{sC} D e^{sC^T} ds.
 
-The covariance integral is evaluated in closed form when C is symmetric and
-commutes with D, and by adaptive Gauss-Legendre quadrature otherwise.
+The covariance integral has one closed form for every drift (Van Loan,
+*Computing integrals involving the matrix exponential*, IEEE TAC 1978;
+Higham, *Functions of Matrices*, ch. 10).  Write C = tau I + N with N
+traceless, so that N^2 = delta^2 I (delta^2 < 0 for a complex eigenvalue
+pair, 0 for a repeated one; N = 0 in dimension 1) and
+e^{sC} = e^{tau s} (cosh(delta s) I + sinh(delta s)/delta N).  Then
+
+    2 int_0^t e^{sC} D e^{sC^T} ds = 2 [J1 D + J2 (N D + D N^T) + J3 N D N^T]
+
+with the scalar weights J1, J2, J3 the integrals over [0, t] of e^{2 tau s}
+times cosh^2(delta s), cosh(delta s) sinh(delta s)/delta and
+sinh^2(delta s)/delta^2.  They are entire functions of 2 tau t and
+(2 delta t)^2, evaluated by ``_weights`` without cancellation.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, NotHurwitz, NotSPD, QuadratureFailure
+from .errors import InvalidParams, NotHurwitz, NotSPD
 from .gaussian import Gaussian
-from .linalg2 import SYM_TOL, eig2, expm2, solve_lyapunov2, spectral_radius
+from .linalg2 import SYM_TOL, eig2, expm2, project_psd, solve_lyapunov2
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+# Below this ratio |2 delta t| / (1 + |2 tau t|) the divided differences in
+# ``_weights`` would cancel (see there).
+_DIRECT_MIN = 0.25
 
-QUAD_TOL = 1e-12
-MAX_PANELS = 2**14
+# Double Taylor series of the weights p and q of ``_weights`` in x and w,
+# p = sum x^j w^m / (j! (2m+1)! (2m+j+2)) and
+# q = sum 2 x^j w^m / (j! (2m+2)! (2m+j+3)); 20 x 10 terms reach rounding
+# level for |x|, |w| <= 1.
+_TAYLOR_X = np.arange(20.0)
+_TAYLOR_W = np.arange(10.0)
+
+
+def _taylor_table() -> np.ndarray:
+    fact = np.array([math.factorial(k) for k in range(22)], dtype=float)
+    j, m = np.ix_(range(_TAYLOR_X.size), range(_TAYLOR_W.size))
+    return np.stack([
+        1.0 / (fact[j] * fact[2 * m + 1] * (2 * m + j + 2)),
+        2.0 / (fact[j] * fact[2 * m + 2] * (2 * m + j + 3)),
+    ])
+
+
+_TAYLOR = _taylor_table()
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,162 +94,107 @@ class LinearModel:
         return self.drift.shape[0]
 
 
-def _project_psd(cov: np.ndarray) -> np.ndarray:
-    """Symmetrize and clip roundoff-negative eigenvalues to zero."""
-    sym = 0.5 * (cov + cov.T)
-    if sym.shape == (1, 1):
-        return np.array([[max(sym[0, 0], 0.0)]])
-    w, vecs = np.linalg.eigh(sym)
-    if w[0] >= 0.0:
-        return sym
-    return (vecs * np.clip(w, 0.0, None)) @ vecs.T
-
-
 def _expm(c: np.ndarray) -> np.ndarray:
     if c.shape == (1, 1):
         return np.array([[math.exp(c[0, 0])]])
     return expm2(c)
 
 
-def _exp_integral(two_lam: float, t: float) -> float:
-    """int_0^t e^{two_lam * s} ds, exact at two_lam = 0."""
-    if two_lam == 0.0:
-        return t
-    return math.expm1(two_lam * t) / two_lam
+def _phi1(z: float) -> float:
+    """(e^z - 1)/z = int_0^1 e^{zs} ds, exact 1 at z = 0."""
+    return math.expm1(z) / z if z != 0.0 else 1.0
 
 
-def _is_symmetric_commuting(c: np.ndarray, d: np.ndarray) -> bool:
-    c_scale = float(np.max(np.abs(c)))
-    d_scale = float(np.max(np.abs(d)))
-    if abs(c[0, 1] - c[1, 0]) > SYM_TOL * max(c_scale, 1e-300):
-        return False
-    comm = c @ d - d @ c
-    return float(np.max(np.abs(comm))) <= SYM_TOL * max(c_scale * d_scale, 1e-300)
+def _sinhc(w: float) -> float:
+    """sinh(y)/y with y^2 = w, continued to sin(|y|)/|y| for w < 0."""
+    if w > 0.0:
+        y = math.sqrt(w)
+        return math.sinh(y) / y
+    if w < 0.0:
+        y = math.sqrt(-w)
+        return math.sin(y) / y
+    return 1.0
 
 
-def _cov_integral_closed(c: np.ndarray, d: np.ndarray, t: float) -> np.ndarray:
-    """2 int_0^t e^{2sC} ds D for symmetric C commuting with D.
+def _weights(x: float, w: float, v: float) -> tuple[float, float, float]:
+    """phi1(x), p and q, where with y^2 = w (y imaginary for w < 0)
 
-    Splits C = tau I + N with N traceless; N^2 = delta^2 I turns e^{2sC}
-    into cosh/sinh combinations of the eigenvalue exponentials, which
-    integrate entrywise.
+        p = int_0^1 e^{xs} sinh(ys)/y ds,  q = int_0^1 e^{xs} 2 (cosh(ys) - 1)/y^2 ds.
+
+    Both are entire in x and w.  ``v`` = x^2 - w = (x + y)(x - y) is passed
+    in, computed by the caller without the cancellation of x^2 - w when
+    x + y is small next to x.  Each weight is evaluated by the one of three
+    exact forms that does not cancel at (x, w):
+
+    * |x|, |w| <= 1: the double Taylor series ``_TAYLOR``;
+    * |y| >= ``_DIRECT_MIN`` (1 + |x|): divided differences of phi1 at
+      x - y, x, x + y (complex for w < 0), which cancel as y -> 0;
+    * otherwise (|x| > 1, nearly equal eigenvalues): integration by parts,
+      whose denominators x and x^2 - w are then bounded away from 0.
+
+    Against 100-digit arithmetic, for |x| from 1e-10 to 700 and |w| from
+    1e-20 to 1e6, the error is below 2e-15 of each integral taken with
+    |sinh|, |cosh - 1| in place of sinh, cosh - 1 (beyond the eps |x| that
+    rounding x itself costs).
     """
-    if c.shape == (1, 1):
-        val = 2.0 * d[0, 0] * _exp_integral(2.0 * c[0, 0], t)
-        return np.array([[val]])
-    mu_hi, mu_lo = eig2(0.5 * (c + c.T))
-    tau = 0.5 * (mu_hi + mu_lo)
-    int_hi = _exp_integral(2.0 * mu_hi, t)
-    int_lo = _exp_integral(2.0 * mu_lo, t)
-    base = 0.5 * (int_hi + int_lo) * np.eye(2)
-    if mu_hi != mu_lo:
-        traceless = 0.5 * (c + c.T) - tau * np.eye(2)
-        base = base + ((int_hi - int_lo) / (mu_hi - mu_lo)) * traceless
-    return 2.0 * (base @ d)
+    f0 = _phi1(x)
+    if abs(x) <= 1.0 and abs(w) <= 1.0:
+        p, q = (_TAYLOR @ w**_TAYLOR_W) @ x**_TAYLOR_X
+        return f0, float(p), float(q)
+    if abs(w) >= (_DIRECT_MIN * (1.0 + abs(x))) ** 2:
+        if w > 0.0:
+            y = math.sqrt(w)
+            far = x + math.copysign(y, x)
+            f_far, f_near = _phi1(far), _phi1(v / far)
+            f_hi, f_lo = (f_far, f_near) if far > 0.0 else (f_near, f_far)
+            return f0, (f_hi - f_lo) / (2.0 * y), (f_hi + f_lo - 2.0 * f0) / w
+        y = math.sqrt(-w)
+        z = complex(x, y)
+        fz = (cmath.exp(z) - 1.0) / z
+        return f0, fz.imag / y, 2.0 * (fz.real - f0) / w
+    shc = _sinhc(w)
+    half = 0.5 * _sinhc(0.25 * w) ** 2  # (cosh(y) - 1)/y^2
+    ex = math.exp(x)
+    p = (1.0 - ex * (1.0 + w * half - x * shc)) / v
+    q = 2.0 * (ex * (x * x * half - x * shc + 1.0) - 1.0) / (x * v)
+    return f0, p, q
 
 
-def _panel(c: np.ndarray, d: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    acc = np.zeros_like(d)
-    for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
-        s = mid + half * node
-        transfer = _expm(s * c)
-        acc += weight * (transfer @ d @ transfer.T)
-    return half * acc
+def _cov_integral(c: np.ndarray, d: np.ndarray, t: float) -> np.ndarray:
+    """2 int_0^t e^{sC} D e^{sC^T} ds by the split C = tau I + N."""
+    dim = c.shape[0]
+    tau = float(np.trace(c)) / dim
+    n = c - tau * np.eye(dim)
+    delta_sq = float((n @ n)[0, 0])  # N^2 = delta^2 I
+    # the eigenvalue product tau^2 - delta^2, from the entries so that it
+    # does not cancel when one eigenvalue is much smaller than the other
+    eig_prod = tau * tau if dim == 1 else float(c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0])
+    x, w, v = 2.0 * tau * t, 4.0 * delta_sq * t * t, 4.0 * eig_prod * t * t
+    f0, p, q = _weights(x, w, v)
+    # J1 = t (f0 + w q / 4), J2 = t^2 p, J3 = t^3 q
+    nd = n @ d
+    return (2.0 * t) * (
+        (f0 + 0.25 * w * q) * d + (t * p) * (nd + nd.T) + (t * t * q) * (nd @ n.T)
+    )
 
 
-def _seed_breakpoints(c: np.ndarray, t: float) -> list[float]:
-    """Panel seeds at the drift's eigenvalue time scale, doubling out to t.
-
-    The integrand e^{sC} D e^{sC^T} can hide a transient of width 1/rho
-    below the leftmost Gauss node of a wide panel, so the fast scale must
-    be sampled a priori rather than discovered adaptively.
-    """
-    rho = spectral_radius(c)
-    if rho <= 0.0 or rho * t <= 2.0:
-        return [0.0, t]
-    points = [0.0]
-    h = 1.0 / rho
-    while h < t:
-        points.append(h)
-        h *= 2.0
-    points.append(t)
-    return points
-
-
-def _cov_integral_quadrature(
-    c: np.ndarray, d: np.ndarray, t: float, tol: float, max_panels: int
-) -> np.ndarray:
-    eps = float(np.finfo(float).eps)
-    total = np.zeros_like(d)
-    seeds = _seed_breakpoints(c, t)
-    stack = [
-        (lo, hi, _panel(c, d, lo, hi))
-        for lo, hi in zip(seeds[:-1], seeds[1:])
-    ]
-    evaluations = len(stack)
-    while stack:
-        lo, hi, whole = stack.pop()
-        mid = 0.5 * (lo + hi)
-        left = _panel(c, d, lo, mid)
-        right = _panel(c, d, mid, hi)
-        evaluations += 2
-        if evaluations > max_panels:
-            raise QuadratureFailure(
-                f"covariance quadrature exceeded {max_panels} panel evaluations"
-            )
-        refined = left + right
-        err = np.abs(whole - refined)
-        width = hi - lo
-        # accept at the width-proportional budget or at the panel's own
-        # roundoff floor, whichever is coarser; the floors sum to ~eps * ||I||
-        budget = tol * (width / t) + 32.0 * eps * np.abs(refined)
-        if bool(np.all(err <= budget)) or width <= 16.0 * eps * t:
-            total += refined
-        else:
-            stack.append((lo, mid, left))
-            stack.append((mid, hi, right))
-    return 2.0 * total
-
-
-def propagate_law(
-    model: LinearModel,
-    init: Gaussian,
-    t: float,
-    method: str = "auto",
-    tol: float = QUAD_TOL,
-    max_panels: int = MAX_PANELS,
-) -> Gaussian:
+def propagate_law(model: LinearModel, init: Gaussian, t: float) -> Gaussian:
     """Law of the model at time t >= 0 started from the Gaussian ``init``.
 
-    ``method`` selects the covariance-integral route: "auto" picks the
-    closed form when C is symmetric and commutes with D, "closed_form"
-    forces it, "quadrature" forces adaptive Gauss-Legendre integration
-    (absolute tolerance ``tol`` per entry).
+    Exact up to rounding for every drift, by the closed form of the module
+    docstring; the covariance is projected onto the PSD cone.
     """
     if not (isinstance(t, (int, float)) and math.isfinite(t)) or t < 0.0:
         raise InvalidParams("t must be finite and non-negative")
     if init.dim != model.dim:
         raise InvalidParams("initial law dimension does not match the model")
-    if method not in ("auto", "closed_form", "quadrature"):
-        raise InvalidParams(f"unknown method {method!r}")
     c, d = model.drift, model.diffusion
     t = float(t)
     transfer = _expm(t * c)
     mean = transfer @ init.mean
     cov = transfer @ init.cov @ transfer.T
     if t > 0.0:
-        closed_ok = model.dim == 1 or _is_symmetric_commuting(c, d)
-        if method == "closed_form" and not closed_ok:
-            raise InvalidParams(
-                "closed_form requires symmetric drift commuting with diffusion"
-            )
-        if method != "quadrature" and closed_ok:
-            cov = cov + _cov_integral_closed(c, d, t)
-        else:
-            cov = cov + _cov_integral_quadrature(c, d, t, tol, max_panels)
-        cov = _project_psd(cov)
+        cov = project_psd(cov + _cov_integral(c, d, t))
     return Gaussian(mean=mean, cov=cov)
 
 
@@ -232,4 +207,4 @@ def stationary_law(model: LinearModel) -> Gaussian:
         cov = -model.diffusion[0, 0] / c
         return Gaussian(mean=0.0, cov=cov)
     cov = solve_lyapunov2(model.drift, model.diffusion)
-    return Gaussian(mean=np.zeros(2), cov=_project_psd(cov))
+    return Gaussian(mean=np.zeros(2), cov=project_psd(cov))

@@ -105,6 +105,19 @@ class TestW2TwoD:
             d1 = w2_1d(Gaussian(m1, v1), Gaussian(m2, v2))
             assert abs(w2_2d(a, b) - d1) < 1e-12 * max(1.0, d1)
 
+    def test_nearly_equal_covariances_keep_relative_accuracy(self):
+        # W2 = |sqrt(0.01) - sqrt(0.01000025)| = 2.5e-7 / (0.1 + sqrt(0.01000025));
+        # tr U + tr V - 2 tr sqrt(...) cancels here and lost 4 digits, asymmetrically
+        a = Gaussian([0.0, 0.0], np.diag([1.01, 0.01]))
+        b = Gaussian([0.0, 0.0], np.diag([1.01, 0.01000025]))
+        exact = 2.5e-7 / (0.1 + math.sqrt(0.01000025))
+        assert math.isclose(w2_2d(a, b), exact, rel_tol=1e-9)
+        assert math.isclose(w2_2d(b, a), exact, rel_tol=1e-9)
+        rot = np.array([[0.6, -0.8], [0.8, 0.6]])
+        ra = Gaussian([0.0, 0.0], rot @ a.cov @ rot.T)
+        rb = Gaussian([0.0, 0.0], rot @ b.cov @ rot.T)
+        assert math.isclose(w2_2d(ra, rb), exact, rel_tol=1e-8)
+
 
 class TestMetricProperties:
     @given(gaussian_1d(), gaussian_1d())

@@ -1,18 +1,21 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modred import (
+    CoupledParams,
     Gaussian,
     InvalidParams,
     LinearModel,
     NotHurwitz,
     NotSPD,
-    QuadratureFailure,
+    OscillatorParams,
     is_hurwitz,
     propagate_law,
     stationary_law,
@@ -62,33 +65,35 @@ class TestPropagateLaw:
             assert math.isclose(law.variance, target, rel_tol=1e-13, abs_tol=1e-15)
 
     def test_matches_ode_oracle(self):
-        # d Cov/dt = C Cov + Cov C^T + 2D integrated independently
+        # d mean/dt = C mean and d Cov/dt = C Cov + Cov C^T + 2D integrated independently
         c = np.array([[-1.2, 0.7], [0.3, -2.5]])
         d = np.array([[0.8, 0.2], [0.2, 1.1]])
-        s0 = np.array([[0.3, 0.1], [0.1, 0.2]])
+        init = Gaussian([1.0, -0.5], [[0.3, 0.1], [0.1, 0.2]])
 
         def rhs(_, y):
-            s = y.reshape(2, 2)
-            return (c @ s + s @ c.T + 2.0 * d).ravel()
+            s = y[2:].reshape(2, 2)
+            return np.concatenate([c @ y[:2], (c @ s + s @ c.T + 2.0 * d).ravel()])
 
-        sol = scipy.integrate.solve_ivp(rhs, (0.0, 2.3), s0.ravel(), rtol=1e-12, atol=1e-14)
-        ref = sol.y[:, -1].reshape(2, 2)
-        got = propagate_law(LinearModel(c, d), Gaussian([1.0, -0.5], s0), 2.3)
-        assert np.max(np.abs(got.cov - ref)) < 1e-10
+        y0 = np.concatenate([init.mean, init.cov.ravel()])
+        sol = scipy.integrate.solve_ivp(rhs, (0.0, 2.3), y0, rtol=1e-12, atol=1e-14)
+        got = propagate_law(LinearModel(c, d), init, 2.3)
+        assert np.max(np.abs(got.mean - sol.y[:2, -1])) < 1e-10
+        assert np.max(np.abs(got.cov - sol.y[2:, -1].reshape(2, 2))) < 1e-10
 
     def test_fast_path_matches_quadrature(self):
+        # symmetric drift commuting with D: the closed form against adaptive
+        # quadrature of 2 e^{sC} D e^{sC^T} and the mean against e^{tC} m0
         model = make_model_2d([-2.0, 1.0, 1.0, -2.0], [math.sqrt(2.0), 0, 0, math.sqrt(2.0)])
         init = Gaussian([1.0, 0.0], np.zeros((2, 2)))
+        c, d = model.drift, model.diffusion
         for t in [0.1, 0.7, 2.0, 9.0]:
-            closed = propagate_law(model, init, t, method="closed_form")
-            quad = propagate_law(model, init, t, method="quadrature")
-            assert np.max(np.abs(closed.cov - quad.cov)) < 1e-10
-            assert np.max(np.abs(closed.mean - quad.mean)) < 1e-12
-
-    def test_closed_form_rejected_for_nonsymmetric_drift(self):
-        model = make_model_2d([-1.0, 1.0, 0.0, -2.0], [1.0, 0, 0, 1.0])
-        with pytest.raises(InvalidParams):
-            propagate_law(model, Gaussian([0.0, 0.0], np.zeros((2, 2))), 1.0, method="closed_form")
+            quad, _ = scipy.integrate.quad_vec(
+                lambda s: 2.0 * scipy.linalg.expm(s * c) @ d @ scipy.linalg.expm(s * c.T),
+                0.0, t, epsabs=1e-14, epsrel=1e-13,
+            )
+            got = propagate_law(model, init, t)
+            assert np.max(np.abs(got.cov - quad)) < 1e-10
+            assert np.max(np.abs(got.mean - scipy.linalg.expm(t * c) @ init.mean)) < 1e-12
 
     def test_semigroup_property(self):
         rng = np.random.default_rng(21)
@@ -133,12 +138,6 @@ class TestPropagateLaw:
         with pytest.raises(InvalidParams):
             propagate_law(model, Gaussian([0.0, 0.0], np.eye(2)), 1.0)
 
-    def test_quadrature_failure_on_tiny_budget(self):
-        model = make_model_2d([-1.0, 0.9, 0.1, -30.0], [1.0, 0, 0, 1.0])
-        init = Gaussian([0.0, 0.0], np.zeros((2, 2)))
-        with pytest.raises(QuadratureFailure):
-            propagate_law(model, init, 50.0, method="quadrature", max_panels=4)
-
     @given(entry, st.floats(min_value=0.05, max_value=2.0), st.floats(min_value=0.0, max_value=3.0))
     @settings(max_examples=60, deadline=None)
     def test_scalar_semigroup_fuzz(self, c, d, t):
@@ -149,6 +148,100 @@ class TestPropagateLaw:
         two = propagate_law(model, propagate_law(model, init, t), t)
         assert abs(one.variance - two.variance) < 1e-10
         assert abs(one.mean[0] - two.mean[0]) < 1e-12
+
+
+def oracle_cov_integral(c, d, t, dps=50):
+    """2 int_0^t e^{sC} D e^{sC^T} ds in ``dps``-digit arithmetic.
+
+    Diagonalizable C: C = V diag(lam) V^-1 and the integral is
+    V [(V^-1 D V^-T)_ij (e^{(lam_i + lam_j) t} - 1)/(lam_i + lam_j)] V^T.
+    Repeated eigenvalue lam: e^{sC} = e^{lam s} (I + s K) with K = C - lam I
+    nilpotent, integrated term by term.
+    """
+    with mpmath.workdps(dps):
+        cm, dm, t = mpmath.matrix(c.tolist()), mpmath.matrix(d.tolist()), mpmath.mpf(t)
+        if (cm[0, 0] - cm[1, 1]) ** 2 + 4 * cm[0, 1] * cm[1, 0] == 0:
+            lam = (cm[0, 0] + cm[1, 1]) / 2
+            k = cm - lam * mpmath.eye(2)
+            mom = [mpmath.quad(lambda s, j=j: s**j * mpmath.exp(2 * lam * s), [0, t]) for j in range(3)]
+            out = mom[0] * dm + mom[1] * (k * dm + dm * k.T) + mom[2] * (k * dm * k.T)
+        else:
+            lam, v = mpmath.eig(cm)
+            v_inv = mpmath.inverse(v)
+            inner = v_inv * dm * v_inv.T
+            for i in range(2):
+                for j in range(2):
+                    mu = lam[i] + lam[j]
+                    inner[i, j] *= mpmath.expm1(mu * t) / mu if mu != 0 else t
+            out = v * inner * v.T
+        return np.array([[float(mpmath.re(2 * out[i, j])) for j in range(2)] for i in range(2)])
+
+
+def oscillator_model(gamma_over_omega):
+    omega = 2.0
+    return OscillatorParams(gamma=gamma_over_omega * omega, omega=omega, beta=1.0).to_linear_model()
+
+
+FULL_D = np.array([[1.0, 0.4], [0.4, 0.5]])
+ACCURACY_CASES = {
+    "distinct_real": LinearModel(np.array([[-1.0, 0.5], [0.3, -2.5]]), FULL_D),
+    "stiff_ratio_1e3": LinearModel(np.array([[-0.2, 3.0], [0.01, -200.0]]), FULL_D),
+    "complex_pair": LinearModel(np.array([[-0.5, 2.0], [-3.0, -1.0]]), FULL_D),
+    "near_critical_1e-4": oscillator_model(2.0 * (1.0 + 1e-4)),
+    "near_critical_1e-8": oscillator_model(2.0 * (1.0 + 1e-8)),
+    "scalar_drift_full_d": LinearModel(-0.7 * np.eye(2), FULL_D),
+    "jordan_block": LinearModel(np.array([[-1.5, 2.0], [0.0, -1.5]]), FULL_D),
+    "positive_eigenvalue": LinearModel(np.array([[0.5, 1.0], [0.2, -2.0]]), FULL_D),
+    "zero_eigenvalue_sum": LinearModel(np.array([[0.6, 1.0], [0.2, -0.6]]), FULL_D),
+    "rotation": LinearModel(np.array([[0.0, 1.0], [-1.0, 0.0]]), FULL_D),
+}
+
+
+class TestCovarianceAccuracy:
+    """The closed-form covariance against 50-digit arithmetic.
+
+    From a point mass the covariance is the integral alone.  The error is
+    relative to the largest entry of the exact covariance; 3e-14 leaves room
+    for the eps |2 lambda t| that rounding the exponent costs at t = 40/rate
+    (lambda t = 40 for the positive eigenvalue), and is exceeded by the
+    unguarded divided differences near delta = 0 (2e-13 at gamma/omega =
+    2(1 + 1e-4), 3e-9 at 2(1 + 1e-8), division by zero at delta = 0).
+    """
+
+    @pytest.mark.parametrize("name", list(ACCURACY_CASES))
+    def test_matches_50_digit_oracle(self, name):
+        model = ACCURACY_CASES[name]
+        rate = float(np.min(np.abs(np.linalg.eigvals(model.drift))))
+        init = Gaussian([0.0, 0.0], np.zeros((2, 2)))
+        for t in (1e-8, 1e-5, 1e-2, 1.0, 40.0 / rate):
+            exact = oracle_cov_integral(model.drift, model.diffusion, t)
+            err = np.max(np.abs(propagate_law(model, init, t).cov - exact))
+            assert err <= 3e-14 * np.max(np.abs(exact)), (t, err)
+
+    def test_zero_drift_adds_brownian_covariance(self):
+        init = Gaussian([1.0, -1.0], [[0.3, 0.1], [0.1, 0.2]])
+        model = LinearModel(np.zeros((2, 2)), FULL_D)
+        for t in (1e-8, 1e-5, 1e-2, 1.0, 40.0):
+            law = propagate_law(model, init, t)
+            np.testing.assert_array_equal(law.mean, init.mean)
+            np.testing.assert_allclose(law.cov, init.cov + 2.0 * t * FULL_D, rtol=2.3e-16, atol=0)
+
+    def test_stiff_coupled_pairs_reach_stationary_law(self):
+        # 40 slow relaxation times; the first pair once exhausted the panel
+        # budget of an adaptive quadrature
+        cases = [
+            (CoupledParams(a=-0.1694697493349298, d=-169.46974933492982, k=0.004209511625297187,
+                           sigma1=3.331090308777063, sigma2=0.23998175227633306,
+                           x1=1.6157919169074169, x2=-1.8809882743621773), 230.30973234489014),
+            (CoupledParams(a=-2.0, d=-2000.0, k=0.7, sigma1=0.4, sigma2=1.3, x1=-1.0, x2=2.0), None),
+        ]
+        for p, t in cases:
+            model = p.to_linear_model()
+            t = 40.0 / -p.drift_eigenvalues()[0] if t is None else t
+            law = propagate_law(model, Gaussian([p.x1, p.x2], np.zeros((2, 2))), t)
+            target = stationary_law(model).cov
+            assert np.max(np.abs(law.cov - target)) <= 1e-11 * np.max(np.abs(target))
+            assert np.max(np.abs(law.mean)) <= 1e-11
 
 
 class TestStationaryLaw:
