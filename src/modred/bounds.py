@@ -4,13 +4,17 @@ Each evaluator returns the explicit dominating value for the squared
 Wasserstein-2 distance between the original (retained-coordinate) law and
 either the reduced law or the shared equilibrium.  ``verify_bounds`` compares
 every bound with the exact distance over a time grid and reports margins.
+
+``FAMILIES`` is the one table of model families, keyed by the CLI's
+``--model`` name: each entry says how to build a family's parameters from
+the CLI flags, which laws it compares and which bounds it states.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -19,8 +23,11 @@ from .models import (
     GridLaw,
     _check_time,
     _require_normalized,
+    coupled_full_law,
+    coupled_reduced_law,
     equilibrium_laws,
-    grid_laws,
+    oscillator_marginal_law,
+    oscillator_reduced_law,
 )
 from .reduction import CoupledParams, OscillatorParams
 
@@ -70,7 +77,7 @@ def _at(t, values: np.ndarray):
 
 
 def _exact_w2_sq(p, t):
-    full, reduced = grid_laws(p, _check_time(t))
+    full, reduced = _family_of(p).laws(p, _check_time(t))
     return _at(t, _w2_sq(*full, *reduced))
 
 
@@ -120,7 +127,7 @@ def coupled_w2_exact(p: CoupledParams, t):
     return _exact_w2_sq(p, t)
 
 
-def _small_k_bound(p: CoupledParams, k_max: float) -> float | None:
+def _small_k_bound(p: CoupledParams, k_max: float = SMALL_COUPLING_K_MAX) -> float | None:
     """The small-coupling bound, or None for k > k_max, where it is not stated."""
     _require_normalized(p)
     if p.k > k_max:
@@ -179,26 +186,22 @@ def default_time_grid(rate: float, n_points: int = 60) -> np.ndarray:
         raise InvalidParams("rate must be positive and finite")
     if n_points < 4:
         raise InvalidParams("need at least 4 grid points")
+    return composite_grid(0.0, 2.0 / rate, 20.0 / rate, n_points)
+
+
+def composite_grid(start: float, mid: float, end: float, n_points: int) -> np.ndarray:
+    """n_points // 2 times linear on [start, mid], the rest geometric on (mid, end]."""
     n_lin = n_points // 2
-    linear = np.linspace(0.0, 2.0 / rate, n_lin)
-    geometric = np.geomspace(2.0 / rate, 20.0 / rate, n_points - n_lin + 1)[1:]
+    linear = np.linspace(start, mid, n_lin)
+    geometric = np.geomspace(mid, end, n_points - n_lin + 1)[1:]
     return np.concatenate([linear, geometric])
-
-
-def _rates(p) -> tuple[float, float]:
-    """Slow and fast relaxation rates of either model family."""
-    if isinstance(p, OscillatorParams):
-        return p.rate_slow, p.rate_fast
-    if isinstance(p, CoupledParams):
-        lam_slow, lam_fast = p.drift_eigenvalues()
-        return abs(lam_slow), abs(lam_fast)
-    raise InvalidParams(f"unsupported parameter type {type(p).__name__}")
 
 
 def model_time_grid(p, n_points: int = 60) -> np.ndarray:
     """Two-scale grid resolving both the slow relaxation and the fast transient."""
-    slow, fast = _rates(p)
-    return np.union1d(default_time_grid(slow, n_points), default_time_grid(fast, n_points))
+    return np.union1d(
+        default_time_grid(p.rate_slow, n_points), default_time_grid(p.rate_fast, n_points)
+    )
 
 
 def _validate_grid(grid) -> np.ndarray:
@@ -212,44 +215,33 @@ def _validate_grid(grid) -> np.ndarray:
     return grid
 
 
-def _w2_exact(p):
-    """osc_w2_exact or coupled_w2_exact, by the family of p."""
-    return osc_w2_exact if isinstance(p, OscillatorParams) else coupled_w2_exact
-
-
 def law_table(p, grid) -> tuple[np.ndarray, GridLaw, GridLaw, np.ndarray]:
     """The validated grid, the retained-coordinate and reduced laws on it and
     their exact squared W2."""
     grid = _validate_grid(grid)
-    full, reduced = grid_laws(p, grid)
-    return grid, full, reduced, _w2_exact(p)(p, grid)
+    full, reduced = _family_of(p).laws(p, grid)
+    return grid, full, reduced, _w2_sq(*full, *reduced)
 
 
 def sup_exact_w2_sq(p, grid) -> float:
     """Largest exact squared W2 (original vs reduced) over the grid."""
-    grid = _validate_grid(grid)
-    return float(np.max(_w2_exact(p)(p, grid)))
+    return float(np.max(law_table(p, grid)[3]))
 
 
 def _bound_families(p, grid: np.ndarray, full: GridLaw, reduced: GridLaw, exact: np.ndarray):
     """(name, exact W2^2, bound) arrays of every bound that applies to p.
 
-    The small-coupling bound is stated for k <= SMALL_COUPLING_K_MAX only, so
-    for stronger coupling its family is left out and the others still apply.
+    A family's uniform bound is left out where it is not stated (the
+    small-coupling bound for k > SMALL_COUPLING_K_MAX); the others still apply.
     """
-    if isinstance(p, OscillatorParams):
-        uniform = [("high_friction", osc_highfriction_bound(p))]
-        long_time = osc_longtime_bound(p, grid)
-        rates = osc_equilibrium_rate(p)
-    else:
-        small = _small_k_bound(p, SMALL_COUPLING_K_MAX)
-        uniform = [] if small is None else [("small_coupling", small)]
-        long_time = coupled_longtime_bound(p, grid)
-        rates = coupled_equilibrium_rate(p)
+    family = _family_of(p)
+    uniform = family.uniform_bound(p)
+    long_time = family.long_time(p, grid)
+    rates = family.equilibrium_rate(p)
     eq_original, eq_reduced = equilibrium_laws(p)
     decay = np.exp(-rates.rate * grid)
     return [
-        *((name, exact, np.full(grid.shape, value)) for name, value in uniform),
+        *([] if uniform is None else [(family.uniform, exact, np.full(grid.shape, uniform))]),
         ("long_time", exact, long_time),
         (
             "equilibrium_rate_original",
@@ -272,7 +264,7 @@ def verify_bounds(p, grid=None) -> list[BoundReport]:
     k > SMALL_COUPLING_K_MAX has no small_coupling rows.
     """
     grid, full, reduced, exact = law_table(
-        p, default_time_grid(_rates(p)[0]) if grid is None else grid
+        p, default_time_grid(p.rate_slow) if grid is None else grid
     )
     times = grid.tolist()
     reports = []
@@ -286,3 +278,71 @@ def verify_bounds(p, grid=None) -> list[BoundReport]:
         )
         reports += [BoundReport(name, *row) for row in rows]
     return reports
+
+
+class Family(NamedTuple):
+    """One model family: its parameters, CLI flags, laws and bounds.
+
+    ``build(**flags)`` makes the parameters from the CLI flags, the
+    ``required`` ones and those ``optional`` ones that are given; every flag
+    can be swept.
+    ``laws(p, times)`` gives the retained-coordinate and reduced GridLaw;
+    ``uniform_bound(p)`` is the bound named ``uniform``, or None outside
+    ``uniform_domain``, where it is not stated.
+    """
+
+    params: type
+    build: Callable
+    required: tuple[str, ...]
+    optional: tuple[str, ...]
+    laws: Callable
+    uniform: str
+    uniform_bound: Callable
+    uniform_domain: str
+    long_time: Callable
+    equilibrium_rate: Callable
+
+
+def _coupled_laws(p: CoupledParams, times: np.ndarray) -> tuple[GridLaw, GridLaw]:
+    joint = coupled_full_law(p, times)
+    return GridLaw(joint.mean1, np.maximum(joint.var, 0.0)), coupled_reduced_law(p, times)
+
+
+# The law functions are called by their module names (in a lambda or a
+# function body), not stored, so that a wrapper installed under such a name
+# (benchmarks/tracing.py) also sees the calls made through the table.
+FAMILIES = {
+    "oscillator": Family(
+        params=OscillatorParams,
+        build=OscillatorParams,
+        required=("gamma", "omega", "beta"),
+        optional=("x0", "v0"),
+        laws=lambda p, t: (oscillator_marginal_law(p, t), oscillator_reduced_law(p, t)),
+        uniform="high_friction",
+        uniform_bound=osc_highfriction_bound,
+        uniform_domain="gamma > 2 omega",
+        long_time=osc_longtime_bound,
+        equilibrium_rate=osc_equilibrium_rate,
+    ),
+    "coupled": Family(
+        params=CoupledParams,
+        # the CLI's pair is the normalised one: identical oscillators, unit noise
+        build=lambda a, **flags: CoupledParams(a=a, d=a, **flags),
+        required=("a", "k"),
+        optional=("x1", "x2"),
+        laws=_coupled_laws,
+        uniform="small_coupling",
+        uniform_bound=_small_k_bound,
+        uniform_domain=f"k <= {SMALL_COUPLING_K_MAX}",
+        long_time=coupled_longtime_bound,
+        equilibrium_rate=coupled_equilibrium_rate,
+    ),
+}
+
+
+def _family_of(p) -> Family:
+    """The FAMILIES entry of the parameters p."""
+    for family in FAMILIES.values():
+        if type(p) is family.params:
+            return family
+    raise InvalidParams(f"unsupported parameter type {type(p).__name__}")

@@ -19,13 +19,12 @@ import click
 import numpy as np
 
 from .bounds import (
+    FAMILIES,
+    Family,
     bound_satisfied,
-    coupled_small_k_bound,
-    coupled_w2_exact,
+    composite_grid,
     law_table,
     model_time_grid,
-    osc_highfriction_bound,
-    osc_w2_exact,
     sup_exact_w2_sq,
     verify_bounds,
 )
@@ -37,7 +36,6 @@ from .montecarlo import (
     moment_estimates,
     simulate,
 )
-from .reduction import CoupledParams, OscillatorParams, reduce_coupled, reduce_oscillator
 
 
 class ConfigError(Exception):
@@ -73,9 +71,6 @@ class RunConfig:
 
 _FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
-_OSC_SWEEPABLE = ("gamma", "omega", "beta", "x0", "v0")
-_COUPLED_SWEEPABLE = ("a", "k", "x1", "x2")
-
 
 def _load_config(path: str | None, flags: dict) -> RunConfig:
     data: dict = {}
@@ -108,37 +103,26 @@ def _load_config(path: str | None, flags: dict) -> RunConfig:
         raise ConfigError(f"invalid config: {exc}") from exc
 
 
-def _make_params(cfg: RunConfig):
-    if cfg.model == "oscillator":
-        if cfg.gamma is None or cfg.omega is None or cfg.beta is None:
-            raise ConfigError("oscillator model needs --gamma, --omega and --beta")
-        return OscillatorParams(
-            gamma=cfg.gamma,
-            omega=cfg.omega,
-            beta=cfg.beta,
-            x0=cfg.x0 if cfg.x0 is not None else 0.0,
-            v0=cfg.v0 if cfg.v0 is not None else 0.0,
-        )
-    if cfg.model == "coupled":
-        if cfg.a is None or cfg.k is None:
-            raise ConfigError("coupled model needs --a and --k")
-        return CoupledParams(
-            a=cfg.a,
-            d=cfg.a,
-            k=cfg.k,
-            x1=cfg.x1 if cfg.x1 is not None else 0.0,
-            x2=cfg.x2 if cfg.x2 is not None else 0.0,
-        )
-    raise ConfigError("--model must be 'oscillator' or 'coupled'")
+def _family(cfg: RunConfig) -> Family:
+    family = FAMILIES.get(cfg.model) if isinstance(cfg.model, str) else None
+    if family is None:
+        raise ConfigError("--model must be " + " or ".join(map(repr, FAMILIES)))
+    return family
 
 
-def _replace_param(cfg: RunConfig, name: str, value: float):
-    if cfg.model == "oscillator" and name not in _OSC_SWEEPABLE:
-        raise ConfigError(f"cannot sweep {name!r} for the oscillator model")
-    if cfg.model == "coupled" and name not in _COUPLED_SWEEPABLE:
-        raise ConfigError(f"cannot sweep {name!r} for the coupled model")
-    swept = dataclasses.replace(cfg, **{name: value})
-    return _make_params(swept)
+def _make_params(cfg: RunConfig, swept: str | None = None, value: float | None = None):
+    """The model parameters of cfg, with the flag ``swept`` set to ``value``."""
+    family = _family(cfg)
+    flags = {name: getattr(cfg, name) for name in family.required + family.optional}
+    if swept is not None:
+        if swept not in flags:
+            raise ConfigError(f"cannot sweep {swept!r} for the {cfg.model} model")
+        flags[swept] = value
+    if any(flags[name] is None for name in family.required):
+        *first, last = (f"--{name}" for name in family.required)
+        needs = f"{', '.join(first)} and {last}" if first else last
+        raise ConfigError(f"{cfg.model} model needs {needs}")
+    return family.build(**{name: v for name, v in flags.items() if v is not None})
 
 
 def _parse_sweep(cfg: RunConfig) -> tuple[str, list[float]]:
@@ -176,10 +160,7 @@ def _make_grid(cfg: RunConfig, params) -> np.ndarray:
         mid = start + (end - start) / 10.0
         if mid <= 0.0:
             raise ConfigError("composite spacing needs t-end > 0")
-        n_lin = count // 2
-        linear = np.linspace(start, mid, n_lin)
-        geometric = np.geomspace(mid, end, count - n_lin + 1)[1:]
-        return np.concatenate([linear, geometric])
+        return composite_grid(start, mid, end, count)
     raise ConfigError("t-spacing must be linear, geometric or composite")
 
 
@@ -223,7 +204,7 @@ def _common_options(fn):
     options = [
         click.option("--config", "config_path", type=click.Path(), default=None,
                      help="JSON config file; flags override its values."),
-        click.option("--model", type=click.Choice(["oscillator", "coupled"]), default=None),
+        click.option("--model", type=click.Choice(list(FAMILIES)), default=None),
         click.option("--gamma", type=float, default=None, help="Oscillator friction."),
         click.option("--omega", type=float, default=None, help="Oscillator frequency."),
         click.option("--beta", type=float, default=None, help="Inverse temperature."),
@@ -293,26 +274,17 @@ def cmd_bounds(config_path, **flags):
     def body(cfg: RunConfig) -> int:
         if cfg.sweep is not None:
             name, values = _parse_sweep(cfg)
-            param_sets = [_replace_param(cfg, name, v) for v in values]
+            param_sets = [_make_params(cfg, name, v) for v in values]
         else:
             param_sets = [_make_params(cfg)]
+        header = ["bound_name", "t", "exact_sq", "bound", "margin", "satisfied"]
         rows = []
         all_ok = True
         for params in param_sets:
-            grid = _make_grid(cfg, params)
-            for report in verify_bounds(params, grid):
-                all_ok &= report.satisfied
-                rows.append(
-                    {
-                        "bound_name": report.name,
-                        "t": report.t,
-                        "exact_sq": report.exact_sq,
-                        "bound": report.bound,
-                        "margin": report.margin,
-                        "satisfied": report.satisfied,
-                    }
-                )
-        header = ["bound_name", "t", "exact_sq", "bound", "margin", "satisfied"]
+            for r in verify_bounds(params, _make_grid(cfg, params)):
+                all_ok &= r.satisfied
+                values = (r.name, r.t, r.exact_sq, r.bound, r.margin, r.satisfied)
+                rows.append(dict(zip(header, values)))
         _emit(rows, header, cfg, "bounds")
         return 0 if all_ok else 1
 
@@ -326,28 +298,20 @@ def cmd_sweep(config_path, **flags):
 
     def body(cfg: RunConfig) -> int:
         name, values = _parse_sweep(cfg)
+        family = _family(cfg)
+        header = ["param", "value", "sup_w2_sq", "bound", "ratio"]
         rows = []
         all_ok = True
         for value in values:
-            params = _replace_param(cfg, name, value)
-            grid = _make_grid(cfg, params)
-            sup = sup_exact_w2_sq(params, grid)
-            if isinstance(params, OscillatorParams):
-                bound = osc_highfriction_bound(params)
-            else:
-                bound = coupled_small_k_bound(params)
-            ratio = sup / bound
+            params = _make_params(cfg, name, value)
+            sup = sup_exact_w2_sq(params, _make_grid(cfg, params))
+            bound = family.uniform_bound(params)
+            if bound is None:
+                unstated = family.uniform.replace("_", "-")
+                raise ConfigError(f"{unstated} bound assumes {family.uniform_domain}")
             all_ok &= bound_satisfied(sup, bound)
-            rows.append(
-                {
-                    "param": name,
-                    "value": value,
-                    "sup_w2_sq": sup,
-                    "bound": bound,
-                    "ratio": ratio,
-                }
-            )
-        _emit(rows, ["param", "value", "sup_w2_sq", "bound", "ratio"], cfg, "sweep")
+            rows.append(dict(zip(header, (name, value, sup, bound, sup / bound))))
+        _emit(rows, header, cfg, "sweep")
         return 0 if all_ok else 1
 
     _run("sweep", body, config_path, flags)
@@ -376,54 +340,27 @@ def cmd_simulate(config_path, **flags):
         )
         cfg = dataclasses.replace(cfg, dt=dt, seed=seed, paths=paths, steps=steps)
         sim_cfg = SimConfig(dt=dt, n_steps=steps, n_paths=paths, seed=seed)
-        if isinstance(params, OscillatorParams):
-            init_full = [params.x0, params.v0]
-            init_reduced = [params.x0]
-            reduced_model = reduce_oscillator(params)
-            analytic_sq = lambda t: osc_w2_exact(params, t)
-        else:
-            init_full = [params.x1, params.x2]
-            init_reduced = [params.x1]
-            reduced_model = reduce_coupled(params)
-            analytic_sq = lambda t: coupled_w2_exact(params, t)
-        full_sets = simulate(params.to_linear_model(), init_full, sim_cfg, record)
-        reduced_sets = simulate(reduced_model.to_linear_model(), init_reduced, sim_cfg, record)
+        init = params.initial_state
+        full_sets = simulate(params.to_linear_model(), init, sim_cfg, record)
+        reduced_sets = simulate(params.reduce().to_linear_model(), init[:1], sim_cfg, record)
+        analytic_sq = law_table(params, [s.t for s in full_sets])[3].tolist()
+        header = ["t", "emp_mean", "emp_var", "emp_w2_vs_reduced", "se_mean", "se_var",
+                  "se_w2", "analytic_w2", "z_score"]
         rows = []
-        for full_set, reduced_set in zip(full_sets, reduced_sets):
+        for full_set, reduced_set, exact_sq in zip(full_sets, reduced_sets, analytic_sq):
             retained = full_set.values[:, 0]
             moments = moment_estimates(retained)
             emp_w2 = empirical_w2_1d(retained, reduced_set.values)
             se_w2 = bootstrap_w2_se(retained, reduced_set.values, seed=seed)
-            analytic = math.sqrt(max(analytic_sq(full_set.t), 0.0))
+            analytic = math.sqrt(max(exact_sq, 0.0))
             diff = emp_w2 - analytic
             if se_w2 > 0.0:
                 z_score = diff / se_w2
             else:
                 z_score = 0.0 if diff == 0.0 else math.copysign(math.inf, diff)
-            rows.append(
-                {
-                    "t": full_set.t,
-                    "emp_mean": moments.mean,
-                    "emp_var": moments.variance,
-                    "emp_w2_vs_reduced": emp_w2,
-                    "se_mean": moments.se_mean,
-                    "se_var": moments.se_variance,
-                    "se_w2": se_w2,
-                    "analytic_w2": analytic,
-                    "z_score": z_score,
-                }
-            )
-        header = [
-            "t",
-            "emp_mean",
-            "emp_var",
-            "emp_w2_vs_reduced",
-            "se_mean",
-            "se_var",
-            "se_w2",
-            "analytic_w2",
-            "z_score",
-        ]
+            values = (full_set.t, moments.mean, moments.variance, emp_w2, moments.se_mean,
+                      moments.se_variance, se_w2, analytic, z_score)
+            rows.append(dict(zip(header, values)))
         _emit(rows, header, cfg, "simulate")
         return 0
 

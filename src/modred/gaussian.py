@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, NotSPD
-from .linalg2 import SYM_TOL, eig2, sqrtm_spd2
+from .errors import InvalidParams
+from .linalg2 import check_symmetric_psd, sqrtm_spd2
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,15 +33,7 @@ class Gaussian:
             )
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
             raise InvalidParams("mean and cov must be finite")
-        scale = float(np.max(np.abs(cov)))
-        if mean.size == 2:
-            if abs(cov[0, 1] - cov[1, 0]) > SYM_TOL * scale:
-                raise NotSPD("covariance is not symmetric within tolerance")
-            low = eig2(cov)[1]
-        else:
-            low = cov[0, 0]
-        if low < -SYM_TOL * scale:
-            raise NotSPD("covariance has a negative eigenvalue beyond tolerance")
+        check_symmetric_psd(cov, "covariance")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 

@@ -52,16 +52,20 @@ def expm2(m) -> np.ndarray:
     s = (a - d) ** 2 + 4.0 * b * c
     if s > 0.0:
         delta = math.sqrt(s)
+        # the eigenvalues half_tr +- delta/2: the one nearer 0 as det C over
+        # the other, which does not cancel when it is much the smaller
+        lam_far = half_tr + math.copysign(0.5 * delta, half_tr)
+        lam_near = (a * d - b * c) / lam_far
+        lam_plus, lam_minus = (lam_near, lam_far) if lam_far < 0.0 else (lam_far, lam_near)
         if delta < 1.0:
             # cancellation-free for nearly-degenerate spectra
-            lam_minus = half_tr - 0.5 * delta
             e_minus = math.exp(lam_minus)
             growth = math.expm1(delta)
             ch = e_minus * (1.0 + 0.5 * growth)
             sh = 0.5 * e_minus * growth / delta
         else:
-            e_plus = math.exp(half_tr + 0.5 * delta)
-            e_minus = math.exp(half_tr - 0.5 * delta)
+            e_plus = math.exp(lam_plus)
+            e_minus = math.exp(lam_minus)
             ch = 0.5 * (e_plus + e_minus)
             sh = 0.5 * (e_plus - e_minus) / delta
     elif s < 0.0:
@@ -118,10 +122,26 @@ def is_hurwitz(m) -> bool:
     return spectral_abscissa(m) < 0.0
 
 
-def _check_symmetric(m: np.ndarray, scale: float, name: str) -> np.ndarray:
-    if abs(m[0, 1] - m[1, 0]) > SYM_TOL * scale:
-        raise NotSPD(f"{name} is not symmetric within tolerance")
-    return 0.5 * m + 0.5 * m.T
+def check_symmetric_psd(m: np.ndarray, name: str) -> float:
+    """Smallest eigenvalue of the symmetrized 1x1 or 2x2 matrix m.
+
+    Raises NotSPD unless m is symmetric and PSD within SYM_TOL of its largest
+    entry.  The eigenvalue is that of the symmetrized matrix, which is real
+    even where a rounding-level asymmetry gives m itself a complex pair.
+    """
+    scale = float(np.max(np.abs(m)))
+    if m.shape == (1, 1):
+        low = float(m[0, 0])
+    else:
+        (a, b), (c, d) = m.tolist()
+        if abs(b - c) > SYM_TOL * scale:
+            raise NotSPD(f"{name} is not symmetric within tolerance")
+        off = 0.5 * b + 0.5 * c
+        # eig2's formula for [[a, off], [off, d]], without its array checks
+        low = 0.5 * (a + d) - 0.5 * math.sqrt((a - d) ** 2 + 4.0 * off * off)
+    if low < -SYM_TOL * scale:
+        raise NotSPD(f"{name} has a negative eigenvalue beyond tolerance")
+    return low
 
 
 def project_psd(m: np.ndarray) -> np.ndarray:
@@ -150,10 +170,8 @@ def sqrtm_spd2(m) -> np.ndarray:
     scale = float(np.max(np.abs(m)))
     if scale == 0.0:
         return np.zeros((2, 2))
-    sym = _check_symmetric(m, scale, "matrix")
-    lo = eig2(sym)[1]
-    if lo < -SYM_TOL * scale:
-        raise NotSPD("matrix has a negative eigenvalue beyond tolerance")
+    lo = check_symmetric_psd(m, "matrix")
+    sym = 0.5 * m + 0.5 * m.T
     if lo < 0.0:
         # roundoff-level negative eigenvalue
         sym = project_psd(sym)
@@ -174,11 +192,7 @@ def solve_lyapunov2(c, d) -> np.ndarray:
     """
     c = _as_mat2(c, "drift")
     d = _as_mat2(d, "diffusion")
-    d_scale = float(np.max(np.abs(d)))
-    if d_scale > 0.0:
-        d = _check_symmetric(d, d_scale, "diffusion")
-        if eig2(d)[1] < -SYM_TOL * d_scale:
-            raise NotSPD("diffusion matrix has a negative eigenvalue")
+    check_symmetric_psd(d, "diffusion matrix")
     if not is_hurwitz(c):
         raise NotHurwitz("drift matrix has an eigenvalue with Re >= 0")
     c11, c12 = c[0, 0], c[0, 1]
@@ -190,7 +204,7 @@ def solve_lyapunov2(c, d) -> np.ndarray:
             [0.0, 2.0 * c21, 2.0 * c22],
         ]
     )
-    rhs = -2.0 * np.array([d[0, 0], d[0, 1], d[1, 1]])
+    rhs = -2.0 * np.array([d[0, 0], 0.5 * d[0, 1] + 0.5 * d[1, 0], d[1, 1]])
     try:
         x = np.linalg.solve(system, rhs)
         x = x + np.linalg.solve(system, rhs - system @ x)

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, NotHurwitz, NotSPD
+from .errors import InvalidParams, NotHurwitz
 from .gaussian import Gaussian
-from .linalg2 import SYM_TOL, eig2, expm2, project_psd, solve_lyapunov2
+from .linalg2 import check_symmetric_psd, expm2, project_psd, solve_lyapunov2
 
 # Below this ratio |2 delta t| / (1 + |2 tau t|) the divided differences in
 # ``_weights`` would cancel (see there).
@@ -78,14 +78,7 @@ class LinearModel:
             )
         if not (np.all(np.isfinite(c)) and np.all(np.isfinite(d))):
             raise InvalidParams("drift and diffusion must be finite")
-        scale = float(np.max(np.abs(d)))
-        if d.shape == (2, 2) and scale > 0.0:
-            if abs(d[0, 1] - d[1, 0]) > SYM_TOL * scale:
-                raise NotSPD("diffusion matrix is not symmetric within tolerance")
-            if eig2(d)[1] < -SYM_TOL * scale:
-                raise NotSPD("diffusion matrix has a negative eigenvalue")
-        elif d.shape == (1, 1) and d[0, 0] < -SYM_TOL * scale:
-            raise NotSPD("diffusion coefficient must be non-negative")
+        check_symmetric_psd(d, "diffusion matrix")
         object.__setattr__(self, "drift", c)
         object.__setattr__(self, "diffusion", d)
 

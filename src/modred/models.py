@@ -20,12 +20,7 @@ import numpy as np
 from .errors import InvalidParams, Unsupported
 from .gaussian import Gaussian, marginal
 from .linear_sde import stationary_law
-from .reduction import (
-    CoupledParams,
-    OscillatorParams,
-    reduce_coupled,
-    reduce_oscillator,
-)
+from .reduction import CoupledParams, OscillatorParams
 
 
 def _check_time(t) -> np.ndarray:
@@ -198,16 +193,6 @@ def coupled_reduced_law(p: CoupledParams, t):
     return _univariate(t, GridLaw(mean, var))
 
 
-def grid_laws(p, t: np.ndarray) -> tuple[GridLaw, GridLaw]:
-    """Retained-coordinate and reduced laws of either model family on the grid t."""
-    if isinstance(p, OscillatorParams):
-        return oscillator_marginal_law(p, t), oscillator_reduced_law(p, t)
-    if isinstance(p, CoupledParams):
-        joint = coupled_full_law(p, t)
-        return GridLaw(joint.mean1, np.maximum(joint.var, 0.0)), coupled_reduced_law(p, t)
-    raise InvalidParams(f"unsupported parameter type {type(p).__name__}")
-
-
 def equilibrium_laws(p) -> tuple[Gaussian, Gaussian]:
     """Equilibria of the original (retained coordinate) and reduced dynamics.
 
@@ -215,14 +200,6 @@ def equilibrium_laws(p) -> tuple[Gaussian, Gaussian]:
     the full linear model, the reduced one from the calibrated OU model; the
     two must coincide.
     """
-    if isinstance(p, OscillatorParams):
-        full = stationary_law(p.to_linear_model())
-        reduced = reduce_oscillator(p)
-    elif isinstance(p, CoupledParams):
-        full = stationary_law(p.to_linear_model())
-        reduced = reduce_coupled(p)
-    else:
-        raise InvalidParams(f"unsupported parameter type {type(p).__name__}")
-    original_eq = marginal(full, 1)
-    reduced_eq = Gaussian(mean=0.0, cov=reduced.stationary_variance)
-    return (original_eq, reduced_eq)
+    full = stationary_law(p.to_linear_model())
+    reduced_eq = Gaussian(mean=0.0, cov=p.reduce().stationary_variance)
+    return (marginal(full, 1), reduced_eq)

@@ -16,6 +16,10 @@ The retained root is the one with k*alpha -> 0 as k -> 0, making the reduced
 drift a - k + k*alpha an eigenvalue of the full drift matrix.  The reduced
 noise is calibrated so the reduced process reproduces the stationary variance
 of the retained coordinate.
+
+Both parameter types expose the slow and fast relaxation rates
+(``rate_slow``, ``rate_fast``), the deterministic initial point
+(``initial_state``) and the reduced model (``reduce()``).
 """
 
 from __future__ import annotations
@@ -74,6 +78,13 @@ class OscillatorParams:
         # 2 omega^2 / (gamma + gap) avoids cancellation at large gamma/omega
         return 2.0 * self.omega**2 / (self.gamma + self.rate_gap)
 
+    @property
+    def initial_state(self) -> tuple[float, float]:
+        return (self.x0, self.v0)
+
+    def reduce(self) -> ReducedModel:
+        return reduce_oscillator(self)
+
     def drift_matrix(self) -> np.ndarray:
         return np.array([[0.0, 1.0], [-self.omega**2, -self.gamma]])
 
@@ -128,6 +139,21 @@ class CoupledParams:
         """Both drift eigenvalues, descending (slow first)."""
         tr = self.a + self.d - 2.0 * self.k
         return (0.5 * (tr + self.rate_split), 0.5 * (tr - self.rate_split))
+
+    @property
+    def rate_slow(self) -> float:
+        return abs(self.drift_eigenvalues()[0])
+
+    @property
+    def rate_fast(self) -> float:
+        return abs(self.drift_eigenvalues()[1])
+
+    @property
+    def initial_state(self) -> tuple[float, float]:
+        return (self.x1, self.x2)
+
+    def reduce(self) -> ReducedModel:
+        return reduce_coupled(self)
 
     def drift_matrix(self) -> np.ndarray:
         return np.array([[self.a - self.k, self.k], [self.k, self.d - self.k]])

@@ -8,17 +8,23 @@ from click.testing import CliRunner
 from modred import (
     CoupledParams,
     OscillatorParams,
+    coupled_full_law,
+    coupled_reduced_law,
     coupled_small_k_bound,
+    coupled_w2_exact,
     model_time_grid,
+    osc_highfriction_bound,
     osc_w2_exact,
     oscillator_marginal_law,
     oscillator_reduced_law,
     sup_exact_w2_sq,
     verify_bounds,
 )
+from modred.bounds import FAMILIES
 from modred.cli import main
 
 OSC_ARGS = ["--model", "oscillator", "--gamma", "5", "--omega", "2", "--beta", "1", "--x0", "1", "--v0", "0"]
+COUPLED_ARGS = ["--model", "coupled", "--a", "-1", "--k", "0.5", "--x1", "1", "--x2", "-0.4"]
 
 
 @pytest.fixture
@@ -249,3 +255,88 @@ class TestConfigHandling:
         ts = [float(line.split(",")[0]) for line in result.output.strip().split("\n")[1:]]
         assert ts == sorted(ts) and len(ts) == 8
         assert math.isclose(ts[-1], 10.0, rel_tol=1e-12)
+
+
+def _osc(**change):
+    return OscillatorParams(**{"gamma": 5.0, "omega": 2.0, "beta": 1.0, "x0": 1.0, "v0": 0.0, **change})
+
+
+def _coupled(**change):
+    q = {"a": -1.0, "k": 0.5, "x1": 1.0, "x2": -0.4, **change}
+    return CoupledParams(d=q["a"], **q)
+
+
+def _single_time_laws(p, t):
+    """Retained and reduced law at one time t, by the single-time library calls."""
+    if type(p) is OscillatorParams:
+        full, reduced = oscillator_marginal_law(p, t), oscillator_reduced_law(p, t)
+        return full.mean[0], full.variance, reduced.mean[0], reduced.variance, osc_w2_exact(p, t)
+    joint, reduced = coupled_full_law(p, t), coupled_reduced_law(p, t)
+    return (joint.mean[0], max(joint.cov[0, 0], 0.0), reduced.mean[0], reduced.variance,
+            coupled_w2_exact(p, t))
+
+
+def _cells(values):
+    return [("1" if v else "0") if isinstance(v, bool) else f"{float(v):.17g}" for v in values]
+
+
+# --model name, flags, library parameters of a flag change, swept parameter and values
+FAMILY_CASES = [
+    ("oscillator", OSC_ARGS, _osc, "gamma", [5.0, 10.0, 40.0]),
+    ("coupled", COUPLED_ARGS, _coupled, "k", [0.1, 0.5, 2.0]),
+]
+
+
+@pytest.mark.parametrize("model, args, params, name, values", FAMILY_CASES,
+                         ids=[case[0] for case in FAMILY_CASES])
+class TestFamilyWiring:
+    """Each command's rows equal the library values bit for bit, for both families."""
+
+    def test_law_rows(self, runner, model, args, params, name, values):
+        p = params()
+        lines = invoke(runner, ["law", *args]).output.strip().split("\n")[1:]
+        grid = model_time_grid(p)
+        assert len(lines) == grid.size
+        for line, t in zip(lines, grid.tolist()):
+            mean_full, var_full, mean_red, var_red, w2_sq = _single_time_laws(p, t)
+            expected = [t, mean_full, var_full, mean_red, var_red, math.sqrt(max(w2_sq, 0.0)), w2_sq]
+            assert line.split(",") == _cells(expected)
+
+    def test_bounds_rows(self, runner, model, args, params, name, values):
+        p = params()
+        result = invoke(runner, ["bounds", *args])
+        assert result.exit_code == 0
+        expected = [
+            ",".join([r.name, *_cells([r.t, r.exact_sq, r.bound, r.margin, r.satisfied])])
+            for r in verify_bounds(p, model_time_grid(p))
+        ]
+        assert result.output.strip().split("\n")[1:] == expected
+
+    def test_sweep_rows(self, runner, model, args, params, name, values):
+        spec = f"{name}=" + ",".join(repr(v) for v in values)
+        result = invoke(runner, ["sweep", *args, "--sweep", spec])
+        assert result.exit_code == 0
+        uniform = osc_highfriction_bound if model == "oscillator" else coupled_small_k_bound
+        expected = []
+        for value in values:
+            p = params(**{name: value})
+            sup, bound = sup_exact_w2_sq(p, model_time_grid(p)), uniform(p)
+            expected.append(",".join([name, *_cells([value, sup, bound, sup / bound])]))
+        assert result.output.strip().split("\n")[1:] == expected
+
+    def test_simulate_analytic_w2(self, runner, model, args, params, name, values):
+        p = params()
+        result = invoke(runner, ["simulate", *args, "--paths", "200", "--seed", "3"])
+        assert result.exit_code == 0
+        rows = [line.split(",") for line in result.output.strip().split("\n")[1:]]
+        assert len(rows) == 3
+        for row in rows:
+            t = float(row[0])
+            w2_sq = _single_time_laws(p, t)[4]
+            assert row[7] == _cells([math.sqrt(max(w2_sq, 0.0))])[0]
+
+
+def test_model_choices_are_the_family_table():
+    for command in main.commands.values():
+        (option,) = [param for param in command.params if param.name == "model"]
+        assert list(option.type.choices) == list(FAMILIES)

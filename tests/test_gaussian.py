@@ -41,6 +41,11 @@ class TestGaussianType:
         with pytest.raises(NotSPD):
             Gaussian([0.0, 0.0], [[1.0, 0.3], [0.1, 1.0]])
 
+    def test_accepts_rounding_level_asymmetry(self):
+        # the unsymmetrized matrix has a complex eigenvalue pair
+        g = Gaussian(np.zeros(2), [[1.0, 1e-14], [-1e-14, 1.0]])
+        assert g.dim == 2
+
     def test_rejects_negative_variance(self):
         with pytest.raises(NotSPD):
             Gaussian(0.0, -1e-6)

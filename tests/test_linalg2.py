@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -49,6 +50,16 @@ class TestExpm2:
         assert eig2(m).__class__ is ComplexPair
         ref = scipy.linalg.expm(m)
         assert np.max(np.abs(expm2(m) - ref)) < 1e-13
+
+    @pytest.mark.parametrize("t", [1.0, 10.0, 100.0])
+    def test_stiff_drift_keeps_slow_eigenvalue(self, t):
+        # the slow eigenvalue half_tr + delta/2 of this drift cancels
+        m = np.array([[-0.2, 3.0], [0.01, -200.0]]) * t
+        with mpmath.workdps(50):
+            exact = mpmath.expm(mpmath.matrix(m.tolist()))
+            ref = np.array([[float(exact[i, j]) for j in range(2)] for i in range(2)])
+        got = expm2(m)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
     def test_random_against_scaling_squaring(self):
         rng = np.random.default_rng(1)

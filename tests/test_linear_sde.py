@@ -40,6 +40,11 @@ class TestLinearModel:
         with pytest.raises(NotSPD):
             LinearModel(-np.eye(2), np.diag([1.0, -1.0]))
 
+    def test_accepts_rounding_level_asymmetric_diffusion(self):
+        # the unsymmetrized matrix has a complex eigenvalue pair
+        m = LinearModel(-np.eye(2), [[1.0, 1e-14], [-1e-14, 1.0]])
+        assert m.dim == 2
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(InvalidParams):
             LinearModel(-np.eye(2), np.array([[1.0]]))

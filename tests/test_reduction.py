@@ -51,6 +51,20 @@ class TestParamTypes:
         with pytest.raises(InvalidParams):
             CoupledParams(a=-1.0, d=-1.0, k=0.0)
 
+    def test_oscillator_family_members(self):
+        p = OscillatorParams(gamma=5.0, omega=2.0, beta=1.0, x0=0.3, v0=-1.2)
+        assert p.initial_state == (0.3, -1.2)
+        assert p.reduce() == reduce_oscillator(p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rate_a, rate_gap, coupling)
+    def test_coupled_family_members(self, a, gap, k):
+        p = CoupledParams(a=a, d=a - gap, k=k, sigma1=0.5, sigma2=2.0, x1=0.3, x2=-1.2)
+        lam_slow, lam_fast = p.drift_eigenvalues()
+        assert p.rate_slow == abs(lam_slow) and p.rate_fast == abs(lam_fast)
+        assert p.initial_state == (0.3, -1.2)
+        assert p.reduce() == reduce_coupled(p)
+
     def test_reduced_model_consistency_enforced(self):
         with pytest.raises(InvalidParams):
             ReducedModel(drift=-1.0, diffusion=1.0, stationary_variance=0.5)
