@@ -34,7 +34,7 @@ from .montecarlo import (
     bootstrap_w2_se,
     empirical_w2_1d,
     moment_estimates,
-    simulate,
+    simulate_ensembles,
 )
 
 
@@ -341,8 +341,11 @@ def cmd_simulate(config_path, **flags):
         cfg = dataclasses.replace(cfg, dt=dt, seed=seed, paths=paths, steps=steps)
         sim_cfg = SimConfig(dt=dt, n_steps=steps, n_paths=paths, seed=seed)
         init = params.initial_state
-        full_sets = simulate(params.to_linear_model(), init, sim_cfg, record)
-        reduced_sets = simulate(params.reduce().to_linear_model(), init[:1], sim_cfg, record)
+        full_sets, reduced_sets = simulate_ensembles(
+            [(params.to_linear_model(), init), (params.reduce().to_linear_model(), init[:1])],
+            sim_cfg,
+            record,
+        )
         analytic_sq = law_table(params, [s.t for s in full_sets])[3].tolist()
         header = ["t", "emp_mean", "emp_var", "emp_w2_vs_reduced", "se_mean", "se_var",
                   "se_w2", "analytic_w2", "z_score"]

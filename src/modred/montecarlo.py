@@ -5,6 +5,14 @@ B B^T = 2 D, so the simulator discretizes the same Fokker-Planck convention
 used everywhere else.  Each path owns a counter-based random stream keyed by
 (seed, path index), which makes results bitwise reproducible regardless of
 batching or worker count.
+
+Stream contract: path i of every ensemble reads the standard normals of the
+stream (seed, i) from its start.  A :class:`Gaussian` initial law takes the
+first dim draws, then each step takes the next dim draws.  Ensembles that
+share a seed therefore share noise prefixes: a 1-D ensemble's path i reads
+the first normals that a 2-D ensemble's path i reads.
+:func:`simulate_ensembles` draws each path's stream once for all ensembles
+and gives exactly the samples that separate :func:`simulate` calls give.
 """
 
 from __future__ import annotations
@@ -29,6 +37,10 @@ from .linalg2 import spectral_radius, sqrtm_spd2
 from .linear_sde import LinearModel
 
 # Fixed batching constants; values never affect results, only memory/speed.
+# Each path's stream is drawn in chunks of 2 * _CHUNK_STEPS normals (2048
+# steps of a 2-D ensemble, 33.5 MB per block of paths).  That width is a
+# multiple of every ensemble's dim (1 or 2), and so is the number of draws
+# an initial law takes, so no step's draws straddle two chunks.
 _BLOCK_PATHS = 1024
 _CHUNK_STEPS = 2048
 
@@ -108,83 +120,136 @@ def _record_steps(record_times, cfg: SimConfig) -> list[int]:
     return steps
 
 
-def simulate(
-    model: LinearModel,
-    init,
+def _check_step(model: LinearModel, dt: float) -> None:
+    drift = model.drift
+    radius = abs(drift[0, 0]) if model.dim == 1 else spectral_radius(drift)
+    if dt * radius >= 0.5:
+        raise UnstableStep(
+            f"dt*|stiffest eigenvalue| = {dt * radius:.3g} >= 0.5; reduce dt"
+        )
+
+
+class _Ensemble:
+    """One ensemble's initial state, step coefficients and sample arrays."""
+
+    def __init__(self, model: LinearModel, init, cfg: SimConfig, steps: list[int]):
+        dim = model.dim
+        if isinstance(init, Gaussian):
+            if init.dim != dim:
+                raise InvalidParams("initial law dimension does not match the model")
+            self.init_mean = init.mean
+            self.init_root = (
+                np.array([[math.sqrt(max(init.variance, 0.0))]])
+                if dim == 1
+                else sqrtm_spd2(init.cov)
+            )
+        else:
+            point = np.atleast_1d(np.asarray(init, dtype=float))
+            if point.shape != (dim,):
+                raise InvalidParams(f"initial state must have shape ({dim},)")
+            if not np.all(np.isfinite(point)):
+                raise InvalidParams("initial state must be finite")
+            self.init_mean, self.init_root = point, None
+        if dim == 1:
+            noise_root = np.array([[math.sqrt(max(2.0 * model.diffusion[0, 0], 0.0))]])
+        else:
+            noise_root = sqrtm_spd2(2.0 * model.diffusion)
+        self.dim = dim
+        # stream positions of the first step's draws and one past the last's
+        self.first = 0 if self.init_root is None else dim
+        self.end = self.first + max(steps) * dim
+        self.step_mat = model.drift.T * cfg.dt
+        self.noise_mat = noise_root.T * math.sqrt(cfg.dt)
+        self.samples = np.empty(
+            (len(steps), cfg.n_paths) if dim == 1 else (len(steps), cfg.n_paths, dim)
+        )
+
+
+def simulate_ensembles(
+    ensembles,
     cfg: SimConfig,
     record_times,
     workers: "int | None" = None,
-) -> list[SampleSet]:
-    """Euler-Maruyama ensemble of the model, sampled at the record times.
+) -> list[list[SampleSet]]:
+    """Euler-Maruyama ensembles of several models on shared noise streams.
 
-    ``init`` is either a deterministic state (scalar / length-dim vector) or
-    a :class:`Gaussian` law to draw initial states from.  Record times must
-    be sorted multiples of dt within [0, n_steps*dt].  Identical
-    (model, init, cfg, record_times) inputs reproduce identical output
-    bitwise, for any worker count.
+    ``ensembles`` is a sequence of ``(model, init)`` pairs; the result holds
+    one list of :class:`SampleSet` per pair, in the same order.  Path i of
+    every ensemble reads the stream (seed, i) from its start: a
+    :class:`Gaussian` init takes the first dim draws, then each step takes
+    the next dim draws.  Each path's stream is drawn once, and every
+    ensemble's samples are bitwise equal to those of a separate
+    :func:`simulate` call with the same arguments.  Every ensemble is
+    validated, in order, before anything is drawn.
     """
-    dim = model.dim
-    drift = model.drift
-    radius = abs(drift[0, 0]) if dim == 1 else spectral_radius(drift)
-    if cfg.dt * radius >= 0.5:
-        raise UnstableStep(
-            f"dt*|stiffest eigenvalue| = {cfg.dt * radius:.3g} >= 0.5; reduce dt"
-        )
-    steps = _record_steps(record_times, cfg)
+    ensembles = list(ensembles)
+    if not ensembles:
+        raise InvalidParams("need at least one ensemble")
+    plans = []
+    for e, (model, init) in enumerate(ensembles):
+        _check_step(model, cfg.dt)
+        if e == 0:
+            # after the first step check, as a lone simulate call orders them
+            steps = _record_steps(record_times, cfg)
+        plans.append(_Ensemble(model, init, cfg, steps))
     step_map: dict[int, list[int]] = {}
     for r, j in enumerate(steps):
         step_map.setdefault(j, []).append(r)
-    n_last = max(steps)
-
-    if isinstance(init, Gaussian):
-        if init.dim != dim:
-            raise InvalidParams("initial law dimension does not match the model")
-        init_mean = init.mean
-        init_root = (
-            np.array([[math.sqrt(max(init.variance, 0.0))]])
-            if dim == 1
-            else sqrtm_spd2(init.cov)
-        )
-    else:
-        point = np.atleast_1d(np.asarray(init, dtype=float))
-        if point.shape != (dim,):
-            raise InvalidParams(f"initial state must have shape ({dim},)")
-        if not np.all(np.isfinite(point)):
-            raise InvalidParams("initial state must be finite")
-        init_mean, init_root = point, None
-
-    if dim == 1:
-        noise_root = np.array([[math.sqrt(max(2.0 * model.diffusion[0, 0], 0.0))]])
-    else:
-        noise_root = sqrtm_spd2(2.0 * model.diffusion)
-    step_mat = drift.T * cfg.dt
-    noise_mat = noise_root.T * math.sqrt(cfg.dt)
-
-    out = np.empty((len(steps), cfg.n_paths, dim))
+    n_values = max(plan.end for plan in plans)
+    # n_values is 0 only for point inits recorded at t = 0 alone: no draws
+    width = max(1, min(2 * _CHUNK_STEPS, n_values))
 
     def run_block(i0: int, i1: int):
         n_block = i1 - i0
         rngs = [_path_rng(cfg.seed, i) for i in range(i0, i1)]
-        if init_root is not None:
-            draws = np.empty((n_block, dim))
+        buf = np.empty((n_block, width))
+
+        def draw(c0: int) -> np.ndarray:
+            m = min(width, n_values - c0)
             for idx, rng in enumerate(rngs):
-                draws[idx] = rng.standard_normal(dim)
-            x = init_mean + draws @ init_root.T
-        else:
-            x = np.tile(init_mean, (n_block, 1))
-        for r in step_map.get(0, ()):
-            out[r, i0:i1] = x
+                rng.standard_normal(m, out=buf[idx, :m])
+            return buf[:, :m]
+
+        def record(plan: _Ensemble, j: int, x: np.ndarray):
+            for r in step_map.get(j, ()):
+                plan.samples[r, i0:i1] = x
+
+        chunk = draw(0) if n_values else buf
+        states = []
+        for plan in plans:
+            if plan.init_root is not None:
+                x = plan.init_mean + chunk[:, : plan.dim] @ plan.init_root.T
+            else:
+                x = np.tile(plan.init_mean, (n_block, 1))
+            x = x[:, 0] if plan.dim == 1 else x
+            record(plan, 0, x)
+            states.append(x)
         # overflow to inf is tolerated here and reported as NonFinite below
         with np.errstate(over="ignore", invalid="ignore"):
-            for chunk_start in range(0, n_last, _CHUNK_STEPS):
-                m = min(_CHUNK_STEPS, n_last - chunk_start)
-                noise = np.empty((n_block, m, dim))
-                for idx, rng in enumerate(rngs):
-                    noise[idx] = rng.standard_normal((m, dim))
-                for j in range(m):
-                    x = x + x @ step_mat + noise[:, j, :] @ noise_mat
-                    for r in step_map.get(chunk_start + j + 1, ()):
-                        out[r, i0:i1] = x
+            for c0 in range(0, n_values, width):
+                if c0:
+                    chunk = draw(c0)
+                for k, plan in enumerate(plans):
+                    lo = max(c0, plan.first)
+                    hi = min(c0 + chunk.shape[1], plan.end)
+                    if lo >= hi:
+                        continue
+                    x = states[k]
+                    done = (lo - plan.first) // plan.dim
+                    noise = chunk[:, lo - c0 : hi - c0]
+                    if plan.dim == 1:
+                        # elementwise: bitwise equal to the (n,1)@(1,1) products
+                        a = float(plan.step_mat[0, 0])
+                        b = float(plan.noise_mat[0, 0])
+                        for j in range(hi - lo):
+                            x = x + x * a + noise[:, j] * b
+                            record(plan, done + j + 1, x)
+                    else:
+                        noise = noise.reshape(n_block, -1, plan.dim)
+                        for j in range(noise.shape[1]):
+                            x = x + x @ plan.step_mat + noise[:, j] @ plan.noise_mat
+                            record(plan, done + j + 1, x)
+                    states[k] = x
 
     blocks = [
         (i0, min(i0 + _BLOCK_PATHS, cfg.n_paths))
@@ -198,13 +263,33 @@ def simulate(
         for b in blocks:
             run_block(*b)
 
-    if not np.all(np.isfinite(out)):
-        raise NonFinite("a simulated state overflowed; reduce dt or the horizon")
-    result = []
-    for r, j in enumerate(steps):
-        values = out[r, :, 0] if dim == 1 else out[r]
-        result.append(SampleSet(t=j * cfg.dt, values=values.copy()))
-    return result
+    for plan in plans:
+        if not np.all(np.isfinite(plan.samples)):
+            raise NonFinite("a simulated state overflowed; reduce dt or the horizon")
+    return [
+        [SampleSet(t=j * cfg.dt, values=plan.samples[r]) for r, j in enumerate(steps)]
+        for plan in plans
+    ]
+
+
+def simulate(
+    model: LinearModel,
+    init,
+    cfg: SimConfig,
+    record_times,
+    workers: "int | None" = None,
+) -> list[SampleSet]:
+    """Euler-Maruyama ensemble of the model, sampled at the record times.
+
+    ``init`` is either a deterministic state (scalar / length-dim vector) or
+    a :class:`Gaussian` law to draw initial states from.  Record times must
+    be sorted multiples of dt within [0, n_steps*dt].  Identical
+    (model, init, cfg, record_times) inputs reproduce identical output
+    bitwise, for any worker count.  Path i reads the stream (seed, i) from
+    its start, as in :func:`simulate_ensembles`, so ensembles of different
+    models with one seed share their noise prefixes.
+    """
+    return simulate_ensembles([(model, init)], cfg, record_times, workers)[0]
 
 
 def _values_1d(s) -> np.ndarray:

@@ -136,9 +136,15 @@ class CoupledParams:
         return math.hypot(self.a - self.d, 2.0 * self.k)
 
     def drift_eigenvalues(self) -> tuple[float, float]:
-        """Both drift eigenvalues, descending (slow first)."""
-        tr = self.a + self.d - 2.0 * self.k
-        return (0.5 * (tr + self.rate_split), 0.5 * (tr - self.rate_split))
+        """Both drift eigenvalues, descending (slow first).
+
+        The slow one is det C / lambda_fast, a ratio of sums of like-signed
+        terms; 0.5 * (tr + rate_split) would cancel when the coupling or the
+        fast rate dwarfs the slow one.
+        """
+        fast = 0.5 * (self.a + self.d - 2.0 * self.k - self.rate_split)
+        det = self.a * self.d - self.k * (self.a + self.d)
+        return (det / fast, fast)
 
     @property
     def rate_slow(self) -> float:

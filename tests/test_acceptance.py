@@ -34,7 +34,7 @@ from modred import (
     reduce_coupled,
     reduce_oscillator,
     select_closure,
-    simulate,
+    simulate_ensembles,
     solve_lyapunov2,
     verify_bounds,
 )
@@ -186,8 +186,11 @@ def test_criterion_7_monte_carlo_cross_check():
         p = OscillatorParams(gamma=5.0, omega=2.0, beta=1.0, x0=1.0, v0=0.0)
         cfg = SimConfig(dt=1e-3, n_steps=2000, n_paths=100_000, seed=20260808)
         record = [0.5, 1.0, 2.0]
-        full_sets = simulate(p.to_linear_model(), [p.x0, p.v0], cfg, record)
-        reduced_sets = simulate(reduce_oscillator(p).to_linear_model(), [p.x0], cfg, record)
+        full_sets, reduced_sets = simulate_ensembles(
+            [(p.to_linear_model(), [p.x0, p.v0]), (reduce_oscillator(p).to_linear_model(), [p.x0])],
+            cfg,
+            record,
+        )
         for full_set, reduced_set in zip(full_sets, reduced_sets):
             t = full_set.t
             retained = full_set.values[:, 0]

@@ -28,7 +28,7 @@ from modred import (
     oscillator_reduced_law,
     reduce_coupled,
     reduce_oscillator,
-    simulate,
+    simulate_ensembles,
     sup_exact_w2_sq,
     verify_bounds,
     w2_1d,
@@ -267,8 +267,9 @@ class TestMonteCarloCrossCheck:
     def test_osc_exact_within_three_se(self):
         p = BASE_OSC
         cfg = SimConfig(dt=1e-3, n_steps=1000, n_paths=20_000, seed=777)
-        full = simulate(p.to_linear_model(), [p.x0, p.v0], cfg, [1.0])[0]
-        reduced = simulate(reduce_oscillator(p).to_linear_model(), [p.x0], cfg, [1.0])[0]
+        ensembles = [(p.to_linear_model(), [p.x0, p.v0]),
+                     (reduce_oscillator(p).to_linear_model(), [p.x0])]
+        (full,), (reduced,) = simulate_ensembles(ensembles, cfg, [1.0])
         emp = empirical_w2_1d(full.values[:, 0], reduced.values)
         se = bootstrap_w2_se(full.values[:, 0], reduced.values, seed=777)
         assert abs(emp - math.sqrt(osc_w2_exact(p, 1.0))) <= 3.0 * se
@@ -276,8 +277,9 @@ class TestMonteCarloCrossCheck:
     def test_coupled_exact_within_three_se(self):
         p = BASE_COUPLED
         cfg = SimConfig(dt=1e-3, n_steps=1000, n_paths=20_000, seed=778)
-        full = simulate(p.to_linear_model(), [p.x1, p.x2], cfg, [1.0])[0]
-        reduced = simulate(reduce_coupled(p).to_linear_model(), [p.x1], cfg, [1.0])[0]
+        ensembles = [(p.to_linear_model(), [p.x1, p.x2]),
+                     (reduce_coupled(p).to_linear_model(), [p.x1])]
+        (full,), (reduced,) = simulate_ensembles(ensembles, cfg, [1.0])
         emp = empirical_w2_1d(full.values[:, 0], reduced.values)
         se = bootstrap_w2_se(full.values[:, 0], reduced.values, seed=778)
         assert abs(emp - math.sqrt(coupled_w2_exact(p, 1.0))) <= 3.0 * se

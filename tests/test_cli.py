@@ -8,15 +8,20 @@ from click.testing import CliRunner
 from modred import (
     CoupledParams,
     OscillatorParams,
+    SimConfig,
+    bootstrap_w2_se,
     coupled_full_law,
     coupled_reduced_law,
     coupled_small_k_bound,
     coupled_w2_exact,
+    empirical_w2_1d,
     model_time_grid,
+    moment_estimates,
     osc_highfriction_bound,
     osc_w2_exact,
     oscillator_marginal_law,
     oscillator_reduced_law,
+    simulate,
     sup_exact_w2_sq,
     verify_bounds,
 )
@@ -334,6 +339,25 @@ class TestFamilyWiring:
             t = float(row[0])
             w2_sq = _single_time_laws(p, t)[4]
             assert row[7] == _cells([math.sqrt(max(w2_sq, 0.0))])[0]
+
+    def test_simulate_sample_columns(self, runner, model, args, params, name, values):
+        """The paired simulation gives the columns of two separate simulate calls."""
+        p = params()
+        result = invoke(runner, ["simulate", *args, "--paths", "200", "--seed", "3"])
+        assert result.exit_code == 0
+        rows = [line.split(",") for line in result.output.strip().split("\n")[1:]]
+        times = [float(row[0]) for row in rows]
+        cfg = SimConfig(dt=1e-3, n_steps=round(times[-1] / 1e-3), n_paths=200, seed=3)
+        init = list(p.initial_state)
+        full = simulate(p.to_linear_model(), init, cfg, times)
+        reduced = simulate(p.reduce().to_linear_model(), init[:1], cfg, times)
+        for row, full_set, reduced_set in zip(rows, full, reduced):
+            retained = full_set.values[:, 0]
+            est = moment_estimates(retained)
+            expected = [est.mean, est.variance, empirical_w2_1d(retained, reduced_set.values),
+                        est.se_mean, est.se_variance,
+                        bootstrap_w2_se(retained, reduced_set.values, seed=3)]
+            assert row[1:7] == _cells(expected)
 
 
 def test_model_choices_are_the_family_table():

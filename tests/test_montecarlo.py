@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from modred import montecarlo
 from modred import (
     Gaussian,
     InvalidParams,
@@ -18,6 +19,7 @@ from modred import (
     oscillator_marginal_law,
     reduce_oscillator,
     simulate,
+    simulate_ensembles,
 )
 
 BASE_OSC = OscillatorParams(gamma=5.0, omega=2.0, beta=1.0, x0=1.0, v0=0.0)
@@ -127,6 +129,65 @@ class TestSimulate:
         cfg = SimConfig(dt=1e-2, n_steps=100, n_paths=5, seed=0)
         with pytest.raises(InvalidParams):
             simulate(LinearModel(-1.0, 1.0), [0.0], cfg, [1.5])
+
+
+def _bitwise_equal(got, expected):
+    assert [s.t for s in got] == [s.t for s in expected]
+    for a, b in zip(got, expected):
+        assert a.values.shape == b.values.shape
+        assert a.values.tobytes() == b.values.tobytes()
+
+
+# (2-D init, 1-D init) per case: point masses, then laws with non-zero covariance
+ENSEMBLE_INITS = {
+    "point": ([1.0, -0.5], [1.0]),
+    "gaussian": (Gaussian([1.0, -0.5], [[0.3, 0.1], [0.1, 0.2]]), Gaussian(0.5, 0.7)),
+}
+
+
+def _osc_pairs(init, order):
+    full_init, reduced_init = ENSEMBLE_INITS[init]
+    pairs = [
+        (BASE_OSC.to_linear_model(), full_init),
+        (reduce_oscillator(BASE_OSC).to_linear_model(), reduced_init),
+    ]
+    return pairs if order == "2d-1d" else pairs[::-1]
+
+
+class TestSimulateEnsembles:
+    """Shared noise streams give exactly the samples of separate simulate calls."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("init", list(ENSEMBLE_INITS))
+    @pytest.mark.parametrize("order", ["2d-1d", "1d-2d"])
+    @pytest.mark.parametrize("record", [[0.0, 0.3, 0.63], [0.0]], ids=["steps", "t0-only"])
+    def test_equals_separate_calls(self, monkeypatch, workers, init, order, record):
+        cfg = SimConfig(dt=1e-2, n_steps=63, n_paths=40, seed=5)
+        pairs = _osc_pairs(init, order)
+        expected = [simulate(model, start, cfg, record, workers=workers) for model, start in pairs]
+        # chunks of 5 2-D steps and blocks of 16 paths: the paired call crosses
+        # many chunk edges in every block, and batching must not change a bit
+        monkeypatch.setattr(montecarlo, "_CHUNK_STEPS", 5)
+        monkeypatch.setattr(montecarlo, "_BLOCK_PATHS", 16)
+        got = simulate_ensembles(pairs, cfg, record, workers=workers)
+        assert len(got) == 2
+        for sets, reference in zip(got, expected):
+            _bitwise_equal(sets, reference)
+
+    @pytest.mark.parametrize("order", ["2d-1d", "1d-2d"])
+    def test_equals_separate_calls_past_one_chunk(self, order):
+        # 2100 2-D steps cross the 2048-step chunk; 1100 paths make two blocks
+        cfg = SimConfig(dt=1e-3, n_steps=2100, n_paths=1100, seed=5)
+        pairs = _osc_pairs("gaussian", order)
+        got = simulate_ensembles(pairs, cfg, [0.0, 2.1], workers=2)
+        for sets, (model, start) in zip(got, pairs):
+            _bitwise_equal(sets, simulate(model, start, cfg, [0.0, 2.1], workers=1))
+
+    def test_unstable_second_ensemble_rejected(self):
+        cfg = SimConfig(dt=0.2, n_steps=10, n_paths=10, seed=0)
+        pairs = [(LinearModel(-1.0, 1.0), [1.0]), (BASE_OSC.to_linear_model(), [1.0, 0.0])]
+        with pytest.raises(UnstableStep):
+            simulate_ensembles(pairs, cfg, [0.2])
 
 
 class TestEmpiricalW2:

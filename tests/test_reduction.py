@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,6 +65,21 @@ class TestParamTypes:
         assert p.rate_slow == abs(lam_slow) and p.rate_fast == abs(lam_fast)
         assert p.initial_state == (0.3, -1.2)
         assert p.reduce() == reduce_coupled(p)
+
+    @pytest.mark.parametrize("a, k", [(-1e-8, 1e3), (-0.1, 10.0)])
+    def test_coupled_eigenvalues_match_mpmath(self, a, k):
+        p = CoupledParams(a=a, d=a, k=k)
+        with mpmath.workdps(40):
+            # eigenvalues of [[a - k, k], [k, d - k]] from the exact parameters
+            a_, d_, k_ = mpmath.mpf(p.a), mpmath.mpf(p.d), mpmath.mpf(p.k)
+            tr, det = a_ + d_ - 2 * k_, a_ * d_ - k_ * (a_ + d_)
+            root = mpmath.sqrt(tr * tr - 4 * det)
+            exact = ((tr + root) / 2, (tr - root) / 2)
+            for got, want in zip(p.drift_eigenvalues(), exact):
+                assert abs(got - want) <= 4 * math.ulp(float(want))
+
+    def test_coupled_unit_pair_eigenvalues_exact(self):
+        assert CoupledParams(a=-1.0, d=-1.0, k=1.0).drift_eigenvalues() == (-1.0, -3.0)
 
     def test_reduced_model_consistency_enforced(self):
         with pytest.raises(InvalidParams):
