@@ -38,7 +38,7 @@ class UnstableStep(ModredError):
 
 
 class NonFinite(ModredError):
-    """A simulated state overflowed or became non-finite."""
+    """A simulated state or a propagated or stationary law overflowed or became non-finite."""
 
 
 class LengthMismatch(ModredError):

@@ -18,6 +18,10 @@ from .errors import InvalidParams, NotHurwitz, NotSPD, Singular
 # Relative tolerance for symmetry / positivity checks on covariance-like input.
 SYM_TOL = 1e-12
 
+# Relative margin above which ``project_psd`` trusts the closed-form smallest
+# eigenvalue of a symmetric matrix to be positive, far above its rounding.
+_PSD_MARGIN = 1e-12
+
 
 @dataclass(frozen=True)
 class ComplexPair:
@@ -45,27 +49,35 @@ def expm2(m) -> np.ndarray:
     overflow-free); for s < 0 the same formula continued with cos/sin; for
     s = 0 the repeated-eigenvalue form e^{(a+d)/2} (I + M - ((a+d)/2) I).
     """
-    m = _as_mat2(m)
-    a, b = m[0, 0], m[0, 1]
-    c, d = m[1, 0], m[1, 1]
+    (a, b), (c, d) = _as_mat2(m).tolist()
+    e11, e12, e21, e22 = _expm2_entries(a, b, c, d)
+    return np.array([[e11, e12], [e21, e22]])
+
+
+def _expm2_entries(a: float, b: float, c: float, d: float) -> tuple[float, float, float, float]:
+    """The entries of ``expm2([[a, b], [c, d]])``, row by row, in float arithmetic.
+
+    Raises OverflowError where an exponential overflows.
+    """
     half_tr = 0.5 * (a + d)
     s = (a - d) ** 2 + 4.0 * b * c
     if s > 0.0:
         delta = math.sqrt(s)
-        # the eigenvalues half_tr +- delta/2: the one nearer 0 as det C over
-        # the other, which does not cancel when it is much the smaller
-        lam_far = half_tr + math.copysign(0.5 * delta, half_tr)
-        lam_near = (a * d - b * c) / lam_far
-        lam_plus, lam_minus = (lam_near, lam_far) if lam_far < 0.0 else (lam_far, lam_near)
         if delta < 1.0:
-            # cancellation-free for nearly-degenerate spectra
-            e_minus = math.exp(lam_minus)
+            # cancellation-free for nearly-degenerate spectra; ch and sh are
+            # even in delta, so the rounding of s, which moves a tiny delta
+            # by up to sqrt(eps), does not reach them
+            e_minus = math.exp(half_tr - 0.5 * delta)
             growth = math.expm1(delta)
             ch = e_minus * (1.0 + 0.5 * growth)
             sh = 0.5 * e_minus * growth / delta
         else:
-            e_plus = math.exp(lam_plus)
-            e_minus = math.exp(lam_minus)
+            # the eigenvalues half_tr +- delta/2: the one nearer 0 as det C
+            # over the other, which does not cancel when it is much the smaller
+            lam_far = half_tr + math.copysign(0.5 * delta, half_tr)
+            e_far = math.exp(lam_far)
+            e_near = math.exp((a * d - b * c) / lam_far)
+            e_plus, e_minus = (e_near, e_far) if lam_far < 0.0 else (e_far, e_near)
             ch = 0.5 * (e_plus + e_minus)
             sh = 0.5 * (e_plus - e_minus) / delta
     elif s < 0.0:
@@ -77,12 +89,7 @@ def expm2(m) -> np.ndarray:
         scale = math.exp(half_tr)
         ch = scale
         sh = 0.5 * scale
-    return np.array(
-        [
-            [ch + (a - d) * sh, 2.0 * b * sh],
-            [2.0 * c * sh, ch + (d - a) * sh],
-        ]
-    )
+    return ch + (a - d) * sh, 2.0 * b * sh, 2.0 * c * sh, ch + (d - a) * sh
 
 
 def eig2(m) -> "tuple[float, float] | ComplexPair":
@@ -122,6 +129,22 @@ def is_hurwitz(m) -> bool:
     return spectral_abscissa(m) < 0.0
 
 
+def _low_eig(a: float, off: float, d: float) -> float:
+    """Smallest eigenvalue of the symmetric [[a, off], [off, d]] (eig2's formula).
+
+    Outside 2^-400 to 2^400, where the squares could underflow or overflow,
+    the entries are first scaled by a power of 2 to a largest magnitude in
+    [1/2, 1) and the result scaled back.  nan for a non-finite entry.
+    """
+    scale = max(abs(a), abs(off), abs(d))
+    if not 2.0**-400 < scale < 2.0**400:
+        if not 0.0 < scale < math.inf:
+            return 0.0 if scale == 0.0 else math.nan
+        k = math.frexp(scale)[1]
+        return math.ldexp(_low_eig(math.ldexp(a, -k), math.ldexp(off, -k), math.ldexp(d, -k)), k)
+    return 0.5 * (a + d) - 0.5 * math.sqrt((a - d) ** 2 + 4.0 * off * off)
+
+
 def check_symmetric_psd(m: np.ndarray, name: str) -> float:
     """Smallest eigenvalue of the symmetrized 1x1 or 2x2 matrix m.
 
@@ -136,9 +159,7 @@ def check_symmetric_psd(m: np.ndarray, name: str) -> float:
         (a, b), (c, d) = m.tolist()
         if abs(b - c) > SYM_TOL * scale:
             raise NotSPD(f"{name} is not symmetric within tolerance")
-        off = 0.5 * b + 0.5 * c
-        # eig2's formula for [[a, off], [off, d]], without its array checks
-        low = 0.5 * (a + d) - 0.5 * math.sqrt((a - d) ** 2 + 4.0 * off * off)
+        low = _low_eig(a, 0.5 * b + 0.5 * c, d)
     if low < -SYM_TOL * scale:
         raise NotSPD(f"{name} has a negative eigenvalue beyond tolerance")
     return low
@@ -147,16 +168,26 @@ def check_symmetric_psd(m: np.ndarray, name: str) -> float:
 def project_psd(m: np.ndarray) -> np.ndarray:
     """Symmetrize a 1x1 or 2x2 matrix and clip negative eigenvalues to zero.
 
-    The symmetrized matrix is returned as it is when no eigenvalue is
-    negative, so an exactly symmetric PSD input comes back bit for bit.
+    The result is exactly symmetric.  The symmetrized matrix is returned as
+    it is when no eigenvalue is negative, so an exactly symmetric PSD input
+    comes back bit for bit.  LAPACK's ``eigh`` is skipped when the
+    closed-form smallest eigenvalue over the largest entry exceeds
+    ``_PSD_MARGIN``: both evaluations err by a few eps of the largest entry,
+    so ``eigh`` would find no negative eigenvalue either.
     """
     sym = 0.5 * (m + m.T)
     if sym.shape == (1, 1):
         return np.maximum(sym, 0.0)
+    (a, b), (_, d) = sym.tolist()
+    # a non-finite entry gives nan and takes the eigh path
+    if _low_eig(a, b, d) > _PSD_MARGIN * max(abs(a), abs(b), abs(d)):
+        return sym
     w, vecs = np.linalg.eigh(sym)
     if w[0] >= 0.0:
         return sym
-    return (vecs * np.clip(w, 0.0, None)) @ vecs.T
+    out = (vecs * np.clip(w, 0.0, None)) @ vecs.T
+    out[1, 0] = out[0, 1]  # the product is symmetric only up to rounding
+    return out
 
 
 def sqrtm_spd2(m) -> np.ndarray:

@@ -20,6 +20,11 @@ with the scalar weights J1, J2, J3 the integrals over [0, t] of e^{2 tau s}
 times cosh^2(delta s), cosh(delta s) sinh(delta s)/delta and
 sinh^2(delta s)/delta^2.  They are entire functions of 2 tau t and
 (2 delta t)^2, evaluated by ``_weights`` without cancellation.
+
+``propagate_law`` reads the entries of C, D and the initial law once and
+evaluates e^{tC} (``linalg2._expm2_entries``), e^{tC} cov(0) e^{tC^T}, N D,
+N D N^T and the weighted sum above in float arithmetic; only the returned
+mean and covariance are arrays.  A law that overflows raises NonFinite.
 """
 
 from __future__ import annotations
@@ -30,9 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, NotHurwitz
+from .errors import InvalidParams, NonFinite, NotHurwitz
 from .gaussian import Gaussian
-from .linalg2 import check_symmetric_psd, expm2, project_psd, solve_lyapunov2
+from .linalg2 import _expm2_entries, check_symmetric_psd, project_psd, solve_lyapunov2
 
 # Below this ratio |2 delta t| / (1 + |2 tau t|) the divided differences in
 # ``_weights`` would cancel (see there).
@@ -85,12 +90,6 @@ class LinearModel:
     @property
     def dim(self) -> int:
         return self.drift.shape[0]
-
-
-def _expm(c: np.ndarray) -> np.ndarray:
-    if c.shape == (1, 1):
-        return np.array([[math.exp(c[0, 0])]])
-    return expm2(c)
 
 
 def _phi1(z: float) -> float:
@@ -153,51 +152,92 @@ def _weights(x: float, w: float, v: float) -> tuple[float, float, float]:
     return f0, p, q
 
 
-def _cov_integral(c: np.ndarray, d: np.ndarray, t: float) -> np.ndarray:
-    """2 int_0^t e^{sC} D e^{sC^T} ds by the split C = tau I + N."""
-    dim = c.shape[0]
-    tau = float(np.trace(c)) / dim
-    n = c - tau * np.eye(dim)
-    delta_sq = float((n @ n)[0, 0])  # N^2 = delta^2 I
-    # the eigenvalue product tau^2 - delta^2, from the entries so that it
-    # does not cancel when one eigenvalue is much smaller than the other
-    eig_prod = tau * tau if dim == 1 else float(c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0])
-    x, w, v = 2.0 * tau * t, 4.0 * delta_sq * t * t, 4.0 * eig_prod * t * t
-    f0, p, q = _weights(x, w, v)
-    # J1 = t (f0 + w q / 4), J2 = t^2 p, J3 = t^3 q
-    nd = n @ d
-    return (2.0 * t) * (
-        (f0 + 0.25 * w * q) * d + (t * p) * (nd + nd.T) + (t * t * q) * (nd @ n.T)
-    )
-
-
 def propagate_law(model: LinearModel, init: Gaussian, t: float) -> Gaussian:
     """Law of the model at time t >= 0 started from the Gaussian ``init``.
 
     Exact up to rounding for every drift, by the closed form of the module
-    docstring; the covariance is projected onto the PSD cone.
+    docstring, evaluated in float arithmetic on the matrix entries; for
+    t > 0 a 2x2 covariance is projected onto the PSD cone (a variance is a
+    sum of non-negative terms).  Raises NonFinite when the law overflows
+    (an unstable drift at a long time).
     """
     if not (isinstance(t, (int, float)) and math.isfinite(t)) or t < 0.0:
         raise InvalidParams("t must be finite and non-negative")
     if init.dim != model.dim:
         raise InvalidParams("initial law dimension does not match the model")
-    c, d = model.drift, model.diffusion
     t = float(t)
-    transfer = _expm(t * c)
-    mean = transfer @ init.mean
-    cov = transfer @ init.cov @ transfer.T
+    try:
+        mean, cov = (_propagate1 if model.dim == 1 else _propagate2)(model, init, t)
+        finite = all(map(math.isfinite, mean + cov))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise NonFinite(f"the propagated law overflows at t = {t!r}")
+    if model.dim == 1:
+        return Gaussian._trusted(np.array(mean), np.array([cov]))
+    c11, c12, c22 = cov
+    sym = np.array([[c11, c12], [c12, c22]])
+    return Gaussian._trusted(np.array(mean), project_psd(sym) if t > 0.0 else sym)
+
+
+def _propagate1(model: LinearModel, init: Gaussian, t: float) -> tuple[list, list]:
+    """Mean and variance of a 1x1 model at t, where N = 0 leaves J1 = t phi1(2ct)."""
+    ((c,),), ((d,),) = model.drift.tolist(), model.diffusion.tolist()
+    (m,), ((s,),) = init.mean.tolist(), init.cov.tolist()
+    e = math.exp(t * c)
+    var = e * s * e
     if t > 0.0:
-        cov = project_psd(cov + _cov_integral(c, d, t))
-    return Gaussian(mean=mean, cov=cov)
+        var += (2.0 * t) * (_phi1(2.0 * c * t) * d)
+    return [e * m], [var]
+
+
+def _propagate2(model: LinearModel, init: Gaussian, t: float) -> tuple[list, list]:
+    """Mean and the entries (11, 12, 22) of the covariance of a 2x2 model at t."""
+    (c11, c12), (c21, c22) = model.drift.tolist()
+    (d11, d12), (d21, d22) = model.diffusion.tolist()
+    m1, m2 = init.mean.tolist()
+    (s11, s12), (s21, s22) = init.cov.tolist()
+    d12, s12 = 0.5 * (d12 + d21), 0.5 * (s12 + s21)
+    e11, e12, e21, e22 = _expm2_entries(t * c11, t * c12, t * c21, t * c22)
+    mean = [e11 * m1 + e12 * m2, e21 * m1 + e22 * m2]
+    # E S0 E^T
+    a11, a12 = e11 * s11 + e12 * s12, e11 * s12 + e12 * s22
+    a21, a22 = e21 * s11 + e22 * s12, e21 * s12 + e22 * s22
+    v11, v12, v22 = a11 * e11 + a12 * e12, a11 * e21 + a12 * e22, a21 * e21 + a22 * e22
+    if t == 0.0:
+        return mean, [v11, v12, v22]
+    # the covariance integral by the split C = tau I + N
+    tau = 0.5 * (c11 + c22)
+    n11, n22 = c11 - tau, c22 - tau
+    delta_sq = n11 * n11 + c12 * c21  # N^2 = delta^2 I
+    # the eigenvalue product tau^2 - delta^2, from the entries so that it
+    # does not cancel when one eigenvalue is much smaller than the other
+    eig_prod = c11 * c22 - c12 * c21
+    x, w, v = 2.0 * tau * t, 4.0 * delta_sq * t * t, 4.0 * eig_prod * t * t
+    f0, p, q = _weights(x, w, v)
+    # J1, J2 and J3 over t; the factor 2t is applied last
+    j1, j2, j3 = f0 + 0.25 * w * q, t * p, t * t * q
+    # N D and N D N^T
+    nd11, nd12 = n11 * d11 + c12 * d12, n11 * d12 + c12 * d22
+    nd21, nd22 = c21 * d11 + n22 * d12, c21 * d12 + n22 * d22
+    q11, q12, q22 = nd11 * n11 + nd12 * c12, nd11 * c21 + nd12 * n22, nd21 * c21 + nd22 * n22
+    h = 2.0 * t
+    return mean, [
+        v11 + h * (j1 * d11 + j2 * (2.0 * nd11) + j3 * q11),
+        v12 + h * (j1 * d12 + j2 * (nd12 + nd21) + j3 * q12),
+        v22 + h * (j1 * d22 + j2 * (2.0 * nd22) + j3 * q22),
+    ]
 
 
 def stationary_law(model: LinearModel) -> Gaussian:
     """Stationary Gaussian law N(0, S) with C S + S C^T + 2 D = 0."""
     if model.dim == 1:
-        c = model.drift[0, 0]
+        ((c,),), ((d,),) = model.drift.tolist(), model.diffusion.tolist()
         if c >= 0.0:
             raise NotHurwitz("drift must be negative for a stationary law")
-        cov = -model.diffusion[0, 0] / c
-        return Gaussian(mean=0.0, cov=cov)
+        cov = -d / c
+        if not math.isfinite(cov):
+            raise NonFinite("the stationary variance overflows")
+        return Gaussian._trusted(np.zeros(1), np.array([[cov]]))
     cov = solve_lyapunov2(model.drift, model.diffusion)
-    return Gaussian(mean=np.zeros(2), cov=project_psd(cov))
+    return Gaussian._trusted(np.zeros(2), project_psd(cov))

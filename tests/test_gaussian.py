@@ -50,6 +50,22 @@ class TestGaussianType:
         with pytest.raises(NotSPD):
             Gaussian(0.0, -1e-6)
 
+    @pytest.mark.parametrize("cov", [
+        [[0.0, 0.0], [0.0, 4.55734025e-157]],  # squares underflow
+        [[1e160, 0.0], [0.0, 1.0]],  # squares overflow
+        [[1e-300, 1e-301], [1e-301, 1e-300]],
+    ])
+    def test_accepts_psd_cov_at_extreme_scales(self, cov):
+        assert Gaussian([0.0, 0.0], cov).dim == 2
+
+    @pytest.mark.parametrize("cov", [
+        [[1e160, 0.0], [0.0, -1e160]],
+        [[1e-300, 0.0], [0.0, -1e-300]],
+    ])
+    def test_rejects_indefinite_cov_at_extreme_scales(self, cov):
+        with pytest.raises(NotSPD):
+            Gaussian([0.0, 0.0], cov)
+
     def test_rejects_dim3(self):
         with pytest.raises(InvalidParams):
             Gaussian([0.0, 0.0, 0.0], np.eye(3))

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modred import (
@@ -21,6 +21,7 @@ from modred import (
     spectral_radius,
     sqrtm_spd2,
 )
+from modred.linalg2 import project_psd
 
 finite_entry = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
@@ -60,6 +61,17 @@ class TestExpm2:
             ref = np.array([[float(exact[i, j]) for j in range(2)] for i in range(2)])
         got = expm2(m)
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("tau", [1e-16, 1e-12, 1e-9])
+    def test_nearly_repeated_eigenvalue_with_small_trace(self, tau):
+        # both eigenvalues within about 1e-8 of 0 (4/3 is rounded): det M is
+        # rounding noise there, so det M over the other eigenvalue is off by
+        # about 1e-8, and so was e^M
+        m = np.array([[tau + 1.0, -0.75], [4.0 / 3.0, tau - 1.0]]) * 0.625
+        with mpmath.workdps(50):
+            exact = mpmath.expm(mpmath.matrix(m.tolist()))
+            ref = np.array([[float(exact[i, j]) for j in range(2)] for i in range(2)])
+        assert np.max(np.abs(expm2(m) - ref)) <= 1e-15 * np.max(np.abs(ref))
 
     def test_random_against_scaling_squaring(self):
         rng = np.random.default_rng(1)
@@ -171,6 +183,66 @@ class TestSqrtmSpd2:
     def test_rejects_indefinite(self):
         with pytest.raises(NotSPD):
             sqrtm_spd2([[1.0, 0.0], [0.0, -0.5]])
+
+
+def eigh_projection(m):
+    """project_psd by LAPACK's eigh alone, without its closed-form shortcut."""
+    sym = 0.5 * (m + m.T)
+    w, vecs = np.linalg.eigh(sym)
+    if w[0] >= 0.0:
+        return sym
+    out = (vecs * np.clip(w, 0.0, None)) @ vecs.T
+    out[1, 0] = out[0, 1]
+    return out
+
+
+unit_entry = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+magnitude = st.floats(min_value=-200.0, max_value=200.0).map(lambda e: 2.0**e)
+
+
+@st.composite
+def symmetric_2x2(draw):
+    """Symmetric 2x2 matrices at scales 2^-200 to 2^200: general, PD, rank 1,
+    rank 1 moved by a few eps either way (rounding-level negative
+    eigenvalues), nearly singular and zero."""
+    kind = draw(st.sampled_from(["general", "pd", "rank1", "rank1_eps", "near_singular", "zero"]))
+    scale = draw(magnitude)
+    u, v = draw(unit_entry), draw(unit_entry)
+    if kind == "general":
+        a, b, d = u, v, draw(unit_entry)
+    elif kind == "pd":
+        a, b, d = u * u + 1e-3, u * v, v * v + draw(st.floats(1e-6, 1.0))
+    elif kind == "zero":
+        a = b = d = 0.0
+    else:
+        a, b, d = u * u, u * v, v * v
+        if kind == "rank1_eps":
+            a += draw(st.integers(-8, 8)) * 2.0**-53 * max(a, d)
+        elif kind == "near_singular":
+            d += draw(st.floats(-1e-9, 1e-9)) * max(a, d)
+    return np.array([[a, b], [b, d]]) * scale
+
+
+class TestProjectPsd:
+    @given(symmetric_2x2())
+    @example(np.zeros((2, 2)))
+    @settings(max_examples=400, deadline=None)
+    def test_bit_identical_to_eigh_path(self, m):
+        out = project_psd(m)
+        assert out.tobytes() == eigh_projection(m).tobytes()
+        assert out[0, 1] == out[1, 0]
+
+    @given(st.tuples(unit_entry, unit_entry, unit_entry, unit_entry), st.floats(1e-6, 1.0), magnitude)
+    @settings(max_examples=200, deadline=None)
+    def test_exactly_symmetric_pd_input_comes_back_bit_for_bit(self, g, shift, scale):
+        g = np.array(g).reshape(2, 2)
+        m = (g @ g.T + shift * np.eye(2)) * scale
+        m[1, 0] = m[0, 1]
+        assert project_psd(m).tobytes() == m.tobytes()
+
+    def test_clips_negative_eigenvalue(self):
+        out = project_psd(np.diag([2.0, -1.0]))
+        np.testing.assert_array_equal(out, np.diag([2.0, 0.0]))
 
 
 class TestSolveLyapunov2:

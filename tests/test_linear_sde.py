@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -13,6 +14,7 @@ from modred import (
     Gaussian,
     InvalidParams,
     LinearModel,
+    NonFinite,
     NotHurwitz,
     NotSPD,
     OscillatorParams,
@@ -143,6 +145,20 @@ class TestPropagateLaw:
         with pytest.raises(InvalidParams):
             propagate_law(model, Gaussian([0.0, 0.0], np.eye(2)), 1.0)
 
+    @pytest.mark.parametrize("drift, t", [
+        ([[1.0]], 1000.0),
+        (np.diag([0.5, -1.0]), 1000.0),
+        (np.diag([0.5, -1.0]), 2000.0),
+    ])
+    def test_overflow_raises_nonfinite_without_warning(self, drift, t):
+        dim = len(drift)
+        model = LinearModel(drift, np.eye(dim))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for cov0 in (np.zeros((dim, dim)), np.eye(dim)):
+                with pytest.raises(NonFinite):
+                    propagate_law(model, Gaussian(np.ones(dim), cov0), t)
+
     @given(entry, st.floats(min_value=0.05, max_value=2.0), st.floats(min_value=0.0, max_value=3.0))
     @settings(max_examples=60, deadline=None)
     def test_scalar_semigroup_fuzz(self, c, d, t):
@@ -249,6 +265,82 @@ class TestCovarianceAccuracy:
             assert np.max(np.abs(law.mean)) <= 1e-11
 
 
+unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+moderate_t = st.floats(min_value=0.0, max_value=2.0)
+
+
+def van_loan_law(c, d, mean0, cov0, t):
+    """Mean and covariance at t from scipy's expm of the block
+    t [[C, 2D], [0, -C^T]] = [[E, G], [0, E^-T]], whose corner G E^T is
+    2 int_0^t e^{sC} D e^{sC^T} ds (Van Loan, IEEE TAC 1978)."""
+    n = c.shape[0]
+    block = np.zeros((2 * n, 2 * n))
+    block[:n, :n], block[:n, n:], block[n:, n:] = c, 2.0 * d, -c.T
+    f = scipy.linalg.expm(t * block)
+    e, g = f[:n, :n], f[:n, n:]
+    return e, e @ mean0, e @ cov0 @ e.T + g @ e.T
+
+
+@st.composite
+def drift_2d(draw):
+    """C = tau I + N, N = [[u, v], [w, -u]] with N^2 = (u^2 + v w) I: any
+    entries, a complex pair, a repeated eigenvalue up to rounding of w, or
+    an exact Jordan block."""
+    kind = draw(st.sampled_from(["any", "complex", "repeated", "jordan"]))
+    if kind == "any":
+        return np.array([[draw(entry), draw(entry)], [draw(entry), draw(entry)]])
+    tau, u = draw(st.floats(-2.0, 1.0)), draw(st.floats(-1.5, 1.5))
+    v = draw(st.floats(0.1, 2.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    if kind == "complex":
+        w = -(draw(st.floats(0.1, 2.0)) ** 2 + u * u) / v
+    elif kind == "repeated":
+        w = -u * u / v
+    else:
+        u = w = 0.0
+    return np.array([[tau + u, v], [w, tau - u]])
+
+
+@st.composite
+def psd_2d(draw):
+    g = np.array([[draw(unit), draw(unit)], [draw(unit), draw(unit)]])
+    return g @ g.T
+
+
+class TestAgainstVanLoan:
+    """The float kernel against scipy's expm of the Van Loan block, from a
+    full initial covariance.  Errors are relative to the largest entry of
+    the reference covariance and, for the mean, to |e^{tC}| |mean(0)|.  The
+    bound is scipy's accuracy, not the kernel's: against 50-digit mpmath,
+    scipy's block exponential errs by up to 2e-12 of the largest entry on
+    this domain (at C = [[2, 2], [2, 2]], t = 2), the kernel by 2e-15; the
+    50-digit oracle above holds the kernel to 3e-14.  Subnormal inputs add
+    the smallest normal number: scipy returns 0 for the covariance at
+    C = 0, D = 5e-324, t = 1/2, whose exact value D the kernel gives."""
+
+    @staticmethod
+    def check(model, init, t):
+        law = propagate_law(model, init, t)
+        e, mean, cov = van_loan_law(model.drift, model.diffusion, init.mean, init.cov, t)
+        mean_scale = np.max(np.abs(e)) * np.max(np.abs(init.mean))
+        tiny = np.finfo(float).tiny  # scipy's products lose subnormal inputs
+        assert np.max(np.abs(law.mean - mean)) <= 1e-11 * mean_scale + tiny
+        assert np.max(np.abs(law.cov - cov)) <= 1e-11 * np.max(np.abs(cov)) + tiny
+        # exactly symmetric, and PSD up to the rounding of its largest entry
+        assert law.cov[0, -1] == law.cov[-1, 0]
+        low = np.linalg.eigvalsh(law.cov)[0]
+        assert low >= -4.0 * np.finfo(float).eps * np.max(np.abs(law.cov))
+
+    @given(entry, st.floats(0.0, 2.0), unit, st.floats(0.0, 2.0), moderate_t)
+    @settings(max_examples=100, deadline=None)
+    def test_scalar_drift(self, c, d, m0, s0, t):
+        self.check(LinearModel(c, d), Gaussian(m0, s0), t)
+
+    @given(drift_2d(), psd_2d(), st.tuples(unit, unit), psd_2d(), moderate_t)
+    @settings(max_examples=300, deadline=None)
+    def test_2x2_drift(self, c, g, m0, cov0, t):
+        self.check(LinearModel(c, 0.5 * g), Gaussian(list(m0), cov0), t)
+
+
 class TestStationaryLaw:
     def test_scalar(self):
         law = stationary_law(LinearModel(-2.0, 1.0))
@@ -270,3 +362,7 @@ class TestStationaryLaw:
     def test_rejects_unstable_matrix(self):
         with pytest.raises(NotHurwitz):
             stationary_law(LinearModel(np.diag([0.5, -1.0]), np.eye(2)))
+
+    def test_overflowing_variance_raises_nonfinite(self):
+        with pytest.raises(NonFinite):
+            stationary_law(LinearModel(-1e-310, 1.0))
