@@ -1,9 +1,12 @@
 """Closed-form linear algebra for real 2x2 matrices.
 
 Everything here is exact up to rounding: matrix exponential, SPD square
-root, eigenvalues and the stationary-covariance (Lyapunov) solve, all via
-2x2 closed forms, and the projection onto the PSD cone.  Matrices are
-plain (2, 2) float arrays (``project_psd`` also takes (1, 1) ones).
+root, eigenvalues and the stationary covariance (the solution of the
+Lyapunov equation C S + S C^T + 2 D = 0), all via 2x2 closed forms, and the
+projection onto the PSD cone.  Matrices are plain (2, 2) float arrays
+(``project_psd`` also takes (1, 1) ones).  The private ``_*_entries``
+kernels take and return the entries as Python floats, for callers that
+evaluate a whole law in float arithmetic.
 """
 
 from __future__ import annotations
@@ -165,6 +168,16 @@ def check_symmetric_psd(m: np.ndarray, name: str) -> float:
     return low
 
 
+def _clearly_pd(a: float, off: float, d: float) -> bool:
+    """Whether [[a, off], [off, d]] is PSD by a margin: its closed-form smallest
+    eigenvalue exceeds ``_PSD_MARGIN`` of its largest entry.
+
+    Then ``project_psd`` returns the matrix as it is.  False for a
+    non-finite entry.
+    """
+    return _low_eig(a, off, d) > _PSD_MARGIN * max(abs(a), abs(off), abs(d))
+
+
 def project_psd(m: np.ndarray) -> np.ndarray:
     """Symmetrize a 1x1 or 2x2 matrix and clip negative eigenvalues to zero.
 
@@ -179,8 +192,7 @@ def project_psd(m: np.ndarray) -> np.ndarray:
     if sym.shape == (1, 1):
         return np.maximum(sym, 0.0)
     (a, b), (_, d) = sym.tolist()
-    # a non-finite entry gives nan and takes the eigh path
-    if _low_eig(a, b, d) > _PSD_MARGIN * max(abs(a), abs(b), abs(d)):
+    if _clearly_pd(a, b, d):
         return sym
     w, vecs = np.linalg.eigh(sym)
     if w[0] >= 0.0:
@@ -217,30 +229,73 @@ def sqrtm_spd2(m) -> np.ndarray:
 def solve_lyapunov2(c, d) -> np.ndarray:
     """Stationary covariance of a linear diffusion with drift C, diffusion D.
 
-    Solves C S + S C^T + 2 D = 0 as a 3x3 linear system in (S11, S12, S22),
-    with one iterative-refinement step so stiff systems stay at machine
-    precision.  C must be Hurwitz and D symmetric PSD.
+    The solution S of C S + S C^T + 2 D = 0, by the closed form of
+    ``_lyapunov2_entries``; it is exactly symmetric.  C must be Hurwitz
+    (else NotHurwitz) and D symmetric PSD (else NotSPD).  Raises Singular
+    when S overflows, or when C passes ``is_hurwitz`` but its determinant
+    (or its product with the trace) rounds to 0 or below.
     """
     c = _as_mat2(c, "drift")
     d = _as_mat2(d, "diffusion")
     check_symmetric_psd(d, "diffusion matrix")
-    if not is_hurwitz(c):
+    (c11, c12), (c21, c22) = c.tolist()
+    (d11, d12), (d21, d22) = d.tolist()
+    s11, s12, s22 = _lyapunov2_entries(c11, c12, c21, c22, d11, d12, d21, d22)
+    return np.array([[s11, s12], [s12, s22]])
+
+
+def _lyapunov2_entries(
+    c11: float, c12: float, c21: float, c22: float,
+    d11: float, d12: float, d21: float, d22: float,
+) -> tuple[float, float, float]:
+    """Entries (11, 12, 22) of the S with C S + S C^T + 2 D = 0, in float arithmetic.
+
+    Takes the entries of C and D row by row; D is symmetrized.  For a 2x2 C
+    with trace T and determinant det, and adj(C) = [[c22, -c12], [-c21, c11]]
+    = T I - C,
+
+        S = (det D + adj(C) D adj(C)^T) / (-T det).
+
+    For a Hurwitz C, T < 0 and det > 0, and for a PSD D both terms of the
+    numerator are PSD, so each variance is a sum of non-negative terms.
+    Entries outside 2^-200 to 2^200 (C) or 2^-300 to 2^300 (D) are first
+    scaled by powers of 2, exactly, so that no product under- or overflows
+    before the result does, and halving a subnormal entry of D loses
+    nothing.  Raises NotHurwitz unless C is Hurwitz by
+    ``is_hurwitz``'s formula, evaluated on the scaled entries, and Singular
+    when det or T det rounds to 0 or below (T det underflows only for a
+    drift so close to singular that S overflows unless D = 0) or S
+    overflows.
+    """
+    sc = max(abs(c11), abs(c12), abs(c21), abs(c22))
+    sd = max(abs(d11), abs(d12), abs(d21), abs(d22))
+    if not (2.0**-200 < sc < 2.0**200 and (sd == 0.0 or 2.0**-300 < sd < 2.0**300)):
+        if sc == 0.0:
+            raise NotHurwitz("drift matrix has an eigenvalue with Re >= 0")
+        kc, kd = math.frexp(sc)[1], math.frexp(sd)[1]
+        scaled = _lyapunov2_entries(
+            *(math.ldexp(x, -kc) for x in (c11, c12, c21, c22)),
+            *(math.ldexp(x, -kd) for x in (d11, d12, d21, d22)),
+        )
+        try:
+            return tuple(math.ldexp(x, kd - kc) for x in scaled)
+        except OverflowError as exc:
+            raise Singular("the stationary covariance overflows") from exc
+    d12 = 0.5 * d12 + 0.5 * d21
+    tr = c11 + c22
+    s = (c11 - c22) ** 2 + 4.0 * c12 * c21
+    if 0.5 * tr + (0.5 * math.sqrt(s) if s > 0.0 else 0.0) >= 0.0:
         raise NotHurwitz("drift matrix has an eigenvalue with Re >= 0")
-    c11, c12 = c[0, 0], c[0, 1]
-    c21, c22 = c[1, 0], c[1, 1]
-    system = np.array(
-        [
-            [2.0 * c11, 2.0 * c12, 0.0],
-            [c21, c11 + c22, c12],
-            [0.0, 2.0 * c21, 2.0 * c22],
-        ]
-    )
-    rhs = -2.0 * np.array([d[0, 0], 0.5 * d[0, 1] + 0.5 * d[1, 0], d[1, 1]])
-    try:
-        x = np.linalg.solve(system, rhs)
-        x = x + np.linalg.solve(system, rhs - system @ x)
-    except np.linalg.LinAlgError as exc:
-        raise Singular("Lyapunov system is numerically singular") from exc
-    if not np.all(np.isfinite(x)):
-        raise Singular("Lyapunov solve produced non-finite entries")
-    return np.array([[x[0], x[1]], [x[1], x[2]]])
+    det = c11 * c22 - c12 * c21
+    denom = -tr * det
+    if not denom > 0.0:
+        raise Singular("the drift determinant, or its product with the trace, rounds to 0 or below")
+    # adj(C) D, then its product with adj(C)^T
+    a11, a12 = c22 * d11 - c12 * d12, c22 * d12 - c12 * d22
+    a21, a22 = c11 * d12 - c21 * d11, c11 * d22 - c21 * d12
+    s11 = (det * d11 + (a11 * c22 - a12 * c12)) / denom
+    s12 = (det * d12 + (a12 * c11 - a11 * c21)) / denom
+    s22 = (det * d22 + (a22 * c11 - a21 * c21)) / denom
+    if not (math.isfinite(s11) and math.isfinite(s12) and math.isfinite(s22)):
+        raise Singular("the stationary covariance overflows")
+    return s11, s12, s22

@@ -37,7 +37,13 @@ import numpy as np
 
 from .errors import InvalidParams, NonFinite, NotHurwitz
 from .gaussian import Gaussian
-from .linalg2 import _expm2_entries, check_symmetric_psd, project_psd, solve_lyapunov2
+from .linalg2 import (
+    _clearly_pd,
+    _expm2_entries,
+    _lyapunov2_entries,
+    check_symmetric_psd,
+    project_psd,
+)
 
 # Below this ratio |2 delta t| / (1 + |2 tau t|) the divided differences in
 # ``_weights`` would cancel (see there).
@@ -163,21 +169,25 @@ def propagate_law(model: LinearModel, init: Gaussian, t: float) -> Gaussian:
     """
     if not (isinstance(t, (int, float)) and math.isfinite(t)) or t < 0.0:
         raise InvalidParams("t must be finite and non-negative")
-    if init.dim != model.dim:
+    dim = model.drift.shape[0]
+    if init.mean.size != dim:
         raise InvalidParams("initial law dimension does not match the model")
     t = float(t)
     try:
-        mean, cov = (_propagate1 if model.dim == 1 else _propagate2)(model, init, t)
-        finite = all(map(math.isfinite, mean + cov))
+        mean, cov = (_propagate1 if dim == 1 else _propagate2)(model, init, t)
+        finite = all(map(math.isfinite, mean)) and all(map(math.isfinite, cov))
     except OverflowError:
         finite = False
     if not finite:
         raise NonFinite(f"the propagated law overflows at t = {t!r}")
-    if model.dim == 1:
+    if dim == 1:
         return Gaussian._trusted(np.array(mean), np.array([cov]))
     c11, c12, c22 = cov
     sym = np.array([[c11, c12], [c12, c22]])
-    return Gaussian._trusted(np.array(mean), project_psd(sym) if t > 0.0 else sym)
+    # project_psd's own shortcut, decided before it builds an array
+    if t > 0.0 and not _clearly_pd(c11, c12, c22):
+        sym = project_psd(sym)
+    return Gaussian._trusted(np.array(mean), sym)
 
 
 def _propagate1(model: LinearModel, init: Gaussian, t: float) -> tuple[list, list]:
@@ -230,7 +240,11 @@ def _propagate2(model: LinearModel, init: Gaussian, t: float) -> tuple[list, lis
 
 
 def stationary_law(model: LinearModel) -> Gaussian:
-    """Stationary Gaussian law N(0, S) with C S + S C^T + 2 D = 0."""
+    """Stationary Gaussian law N(0, S) with C S + S C^T + 2 D = 0.
+
+    A 2x2 S comes from the closed form of ``linalg2._lyapunov2_entries`` in
+    float arithmetic, with its errors (NotHurwitz, Singular).
+    """
     if model.dim == 1:
         ((c,),), ((d,),) = model.drift.tolist(), model.diffusion.tolist()
         if c >= 0.0:
@@ -239,5 +253,10 @@ def stationary_law(model: LinearModel) -> Gaussian:
         if not math.isfinite(cov):
             raise NonFinite("the stationary variance overflows")
         return Gaussian._trusted(np.zeros(1), np.array([[cov]]))
-    cov = solve_lyapunov2(model.drift, model.diffusion)
-    return Gaussian._trusted(np.zeros(2), project_psd(cov))
+    (c11, c12), (c21, c22) = model.drift.tolist()
+    (d11, d12), (d21, d22) = model.diffusion.tolist()
+    s11, s12, s22 = _lyapunov2_entries(c11, c12, c21, c22, d11, d12, d21, d22)
+    cov = np.array([[s11, s12], [s12, s22]])
+    if not _clearly_pd(s11, s12, s22):
+        cov = project_psd(cov)
+    return Gaussian._trusted(np.zeros(2), cov)

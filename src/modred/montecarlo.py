@@ -99,6 +99,25 @@ def _path_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _rekey(rng: np.random.Generator, seed: int, index: int) -> None:
+    """Reset a Philox generator to the start of the stream (seed, index).
+
+    Gives the state of a fresh ``_path_rng(seed, index)`` without building
+    a generator, whose constructor also runs a SeedSequence.
+    """
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.zeros(4, dtype=np.uint64),
+            "key": np.array([seed, index], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
 def _record_steps(record_times, cfg: SimConfig) -> list[int]:
     steps = []
     previous = -math.inf
@@ -199,9 +218,11 @@ def simulate_ensembles(
     # n_values is 0 only for point inits recorded at t = 0 alone: no draws
     width = max(1, min(2 * _CHUNK_STEPS, n_values))
 
-    def run_block(i0: int, i1: int):
+    def run_block(i0: int, i1: int, rngs: list):
         n_block = i1 - i0
-        rngs = [_path_rng(cfg.seed, i) for i in range(i0, i1)]
+        rngs = rngs[:n_block]
+        for i, rng in enumerate(rngs, i0):
+            _rekey(rng, cfg.seed, i)
         buf = np.empty((n_block, width))
 
         def draw(c0: int) -> np.ndarray:
@@ -255,13 +276,19 @@ def simulate_ensembles(
         (i0, min(i0 + _BLOCK_PATHS, cfg.n_paths))
         for i0 in range(0, cfg.n_paths, _BLOCK_PATHS)
     ]
-    n_workers = _resolve_workers(workers)
-    if n_workers > 1 and len(blocks) > 1:
+
+    def run_blocks(mine: list):
+        # one pool of generators per worker, re-keyed for each block
+        rngs = [_path_rng(cfg.seed, i) for i in range(mine[0][1] - mine[0][0])]
+        for i0, i1 in mine:
+            run_block(i0, i1, rngs)
+
+    n_workers = min(_resolve_workers(workers), len(blocks))
+    if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(lambda b: run_block(*b), blocks))
+            list(pool.map(run_blocks, [blocks[w::n_workers] for w in range(n_workers)]))
     else:
-        for b in blocks:
-            run_block(*b)
+        run_blocks(blocks)
 
     for plan in plans:
         if not np.all(np.isfinite(plan.samples)):

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from modred import (
@@ -289,3 +289,116 @@ class TestSolveLyapunov2:
         # (~1e309) exceeds the float range
         with pytest.raises(Singular):
             solve_lyapunov2(np.diag([-1e-4, -1e-4]), 1e305 * np.eye(2))
+
+    def test_rounded_nonpositive_determinant_reports_singular(self):
+        # real eigenvalues about -2.2e-16 and -2.5: is_hurwitz accepts the
+        # drift, but c11 c22 - c12 c21 rounds to 0
+        c = np.array([[-1.4230776672218808, 1.9958149036838164],
+                      [0.7668763616869004, -1.075516331392825]])
+        assert is_hurwitz(c) and c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0] == 0.0
+        with pytest.raises(Singular):
+            solve_lyapunov2(c, np.eye(2))
+
+    @pytest.mark.parametrize("d", [np.eye(2), np.zeros((2, 2))])
+    def test_underflowing_trace_times_determinant_reports_singular(self, d):
+        # det = 2.5e-233 is normal, -tr det = 2.5e-349 underflows to 0
+        c = np.array([[-5e-117, -1.0], [0.0, -5e-117]])
+        with pytest.raises(Singular):
+            solve_lyapunov2(c, d)
+
+    @pytest.mark.parametrize("kc, kd", [(-700, 0), (600, -300), (0, -1000), (0, 900), (-300, -900)])
+    def test_power_of_two_scaling_is_exact(self, kc, kd):
+        # S(2^kc C, 2^kd D) = 2^(kd - kc) S(C, D), and every factor is exact,
+        # also where the unscaled products would under- or overflow
+        c = np.array([[-0.2, 3.0], [0.01, -200.0]])
+        d = np.array([[0.3, 0.1], [0.1, 1.0]])
+        expected = np.ldexp(solve_lyapunov2(c, d), kd - kc)
+        got = solve_lyapunov2(np.ldexp(c, kc), np.ldexp(d, kd))
+        assert got.tobytes() == expected.tobytes()
+
+
+def lyapunov_oracle(c, d):
+    """S with C S + S C^T + 2 D = 0, as 50-digit mpmath values (11, 12, 22)."""
+    with mpmath.workdps(50):
+        c11, c12, c21, c22 = (mpmath.mpf(x) for x in c.ravel().tolist())
+        d11, d12, d22 = (mpmath.mpf(x) for x in (d[0, 0], d[0, 1], d[1, 1]))
+        system = mpmath.matrix([[2 * c11, 2 * c12, 0], [c21, c11 + c22, c12], [0, 2 * c21, 2 * c22]])
+        return list(mpmath.lu_solve(system, mpmath.matrix([-2 * d11, -2 * d12, -2 * d22])))
+
+
+def lyapunov_error_bound(c, d, s_max):
+    """First-order rounding bound of the closed form, 8 u times
+
+        |S|_abs + max|S| (P / det + (|c11| + |c22|) / |tr C|),
+
+    where |S|_abs is the closed form evaluated on |C|, |D| and |det|,
+    P = |c11 c22| + |c12 c21| is what det C cancels from, and the last term
+    is the same for the trace: the componentwise condition numbers of the
+    three quantities the formula reads.  A few units of the smallest
+    subnormal number are added for results that round to subnormals."""
+    (c11, c12), (c21, c22) = np.abs(c).tolist()
+    d11, d12, d22 = abs(d[0, 0]), abs(d[0, 1]), abs(d[1, 1])
+    det = abs(c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0])
+    tr = abs(c[0, 0] + c[1, 1])
+    m11 = c22 * c22 * d11 + 2 * c22 * c12 * d12 + c12 * c12 * d22
+    m12 = c22 * c21 * d11 + (c22 * c11 + c12 * c21) * d12 + c12 * c11 * d22
+    m22 = c21 * c21 * d11 + 2 * c21 * c11 * d12 + c11 * c11 * d22
+    s_abs = max(det * d11 + m11, det * d12 + m12, det * d22 + m22) / (tr * det)
+    cond = (c11 * c22 + c12 * c21) / det + (c11 + c22) / tr
+    return 8.0 * 2.0**-53 * (s_abs + s_max * cond) + 4.0 * 2.0**-1074
+
+
+@st.composite
+def hurwitz_drift(draw):
+    """V L V^-1 at scales 2^-60 to 2^60, L real with stiffness ratio up to 1e6,
+    a complex pair, or nearly repeated eigenvalues; or four entries of
+    magnitudes e^-14 to e^14."""
+    kind = draw(st.sampled_from(["stiff", "complex", "near_repeated", "spread"]))
+    if kind == "spread":
+        mags = [draw(st.floats(-14.0, 14.0)) for _ in range(4)]
+        signs = [draw(st.sampled_from([-1.0, 1.0])) for _ in range(4)]
+        c = (np.exp(mags) * signs).reshape(2, 2)
+    else:
+        (v11, v12), (v21, v22) = v = np.array([[draw(unit_entry), draw(unit_entry)],
+                                               [draw(unit_entry), draw(unit_entry)]])
+        det_v = v11 * v22 - v12 * v21
+        assume(abs(det_v) > 1e-3)
+        lam = -math.exp(draw(st.floats(-3.0, 3.0)))
+        if kind == "stiff":
+            low = np.diag([lam, lam * draw(st.floats(1.0, 1e6))])
+        elif kind == "complex":
+            imag = math.exp(draw(st.floats(-6.0, 6.0)))
+            low = np.array([[lam, imag], [-imag, lam]])
+        else:
+            low = np.diag([lam, lam * (1.0 + draw(st.floats(1e-12, 1e-6)))])
+        v_inv = np.array([[v22, -v12], [-v21, v11]]) / det_v
+        c = v @ low @ v_inv * 2.0 ** draw(st.integers(-60, 60))
+    assume(is_hurwitz(c))
+    return c
+
+
+@st.composite
+def psd_diffusion(draw):
+    """G G^T with G 2x2 or 2x1 (rank 1), at scales 2^-60 to 2^60."""
+    rank = draw(st.sampled_from([1, 2]))
+    g = np.array([draw(unit_entry) for _ in range(2 * rank)]).reshape(2, rank)
+    return g @ g.T * 2.0 ** draw(st.integers(-60, 60))
+
+
+class TestLyapunovOracle:
+    @given(hurwitz_drift(), psd_diffusion())
+    @example(np.array([[-0.2, 3.0], [0.01, -200.0]]), np.diag([0.3, 1.0]))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_50_digit_solve(self, c, d):
+        try:
+            sigma = solve_lyapunov2(c, d)
+        except Singular:
+            # only where the float determinant, or its product with the
+            # trace, is not positive
+            assert not -(c[0, 0] + c[1, 1]) * (c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]) > 0.0
+            return
+        assert sigma[0, 1] == sigma[1, 0]
+        exact = lyapunov_oracle(c, d)
+        s_max = float(max(abs(x) for x in exact))
+        err = max(abs(mpmath.mpf(float(a)) - b) for a, b in zip(sigma[np.triu_indices(2)], exact))
+        assert float(err) <= lyapunov_error_bound(c, d, s_max)

@@ -9,6 +9,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from modred import linear_sde
 from modred import (
     CoupledParams,
     Gaussian,
@@ -18,10 +19,12 @@ from modred import (
     NotHurwitz,
     NotSPD,
     OscillatorParams,
+    Singular,
     is_hurwitz,
     propagate_law,
     stationary_law,
 )
+from modred.linalg2 import _lyapunov2_entries, project_psd
 
 entry = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
@@ -366,3 +369,56 @@ class TestStationaryLaw:
     def test_overflowing_variance_raises_nonfinite(self):
         with pytest.raises(NonFinite):
             stationary_law(LinearModel(-1e-310, 1.0))
+
+    def test_normalised_pair_variance_matches_closed_form(self):
+        # the pair of ROADMAP defect 1(b): the closed form
+        # -(1/(a - 2k) + 1/a)/2 at 60 digits; the LU solve erred by 5.3e-13
+        a, k = -0.00121, 9.52
+        law = stationary_law(CoupledParams(a=a, d=a, k=k, x1=-37.4, x2=1.96).to_linear_model())
+        with mpmath.workdps(60):
+            exact = -(1 / (mpmath.mpf(a) - 2 * mpmath.mpf(k)) + 1 / mpmath.mpf(a)) / 2
+            assert abs(law.cov[0, 0] - exact) <= 1e-13 * exact
+
+
+@st.composite
+def low_rank_psd(draw):
+    """Full-rank, rank-1 or zero PSD 2x2 matrices, whose propagated
+    covariances can have rounding-level negative eigenvalues."""
+    kind = draw(st.sampled_from(["full", "rank1", "zero"]))
+    if kind == "full":
+        return draw(psd_2d())
+    u = np.array([draw(unit), draw(unit)])
+    return np.outer(u, u) if kind == "rank1" else np.zeros((2, 2))
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("LAPACK called")
+
+
+class TestHotPathWithoutLapack:
+    """A clearly PD law is built from the entries alone: no linear solve and
+    no eigendecomposition."""
+
+    def test_no_solve_or_eigh(self, monkeypatch):
+        model = LinearModel([[-0.2, 3.0], [0.01, -200.0]], np.diag([0.3, 1.0]))
+        init = Gaussian([1.0, -2.0], [[0.5, 0.1], [0.1, 0.4]])
+        monkeypatch.setattr(np.linalg, "solve", _raise)
+        monkeypatch.setattr(np.linalg, "eigh", _raise)
+        assert stationary_law(model).cov[0, 0] > 0.0
+        assert propagate_law(model, init, 0.7).cov[0, 0] > 0.0
+
+    @given(drift_2d(), low_rank_psd(), st.tuples(unit, unit), low_rank_psd(), moderate_t)
+    @settings(max_examples=300, deadline=None)
+    def test_covariance_is_project_psd_of_the_entries(self, c, g, m0, cov0, t):
+        model, init = LinearModel(c, 0.5 * g), Gaussian(list(m0), cov0)
+        law = propagate_law(model, init, t)
+        c11, c12, c22 = linear_sde._propagate2(model, init, t)[1]
+        sym = np.array([[c11, c12], [c12, c22]])
+        assert law.cov.tobytes() == (project_psd(sym) if t > 0.0 else sym).tobytes()
+        entries = [*model.drift.ravel().tolist(), *model.diffusion.ravel().tolist()]
+        try:
+            s11, s12, s22 = _lyapunov2_entries(*entries)
+        except (NotHurwitz, Singular):
+            return
+        expected = project_psd(np.array([[s11, s12], [s12, s22]]))
+        assert stationary_law(model).cov.tobytes() == expected.tobytes()

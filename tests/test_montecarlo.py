@@ -190,6 +190,36 @@ class TestSimulateEnsembles:
             simulate_ensembles(pairs, cfg, [0.2])
 
 
+class TestPathStreams:
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("index", [0, 1, 1023, 2**32 - 1, 2**64 - 1])
+    def test_rekeyed_used_generator_equals_fresh_one(self, seed, index):
+        rng = montecarlo._path_rng(7, 3)
+        # leave a partly used output buffer and a cached 32-bit half behind
+        rng.standard_normal(5)
+        rng.integers(0, 2**32, size=3, dtype=np.uint32)
+        montecarlo._rekey(rng, seed, index)
+        fresh = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+        assert rng.standard_normal(1001).tobytes() == fresh.standard_normal(1001).tobytes()
+        assert rng.integers(0, 2**32, size=5, dtype=np.uint32).tobytes() == (
+            fresh.integers(0, 2**32, size=5, dtype=np.uint32).tobytes()
+        )
+        assert rng.bit_generator.random_raw(9).tobytes() == fresh.bit_generator.random_raw(9).tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_each_path_reads_its_stream_from_the_start(self, monkeypatch, workers):
+        # blocks of 16 paths: every worker's generators are re-keyed for
+        # blocks after its first, including the short last one
+        monkeypatch.setattr(montecarlo, "_BLOCK_PATHS", 16)
+        seed, dt = 2**64 - 1, 0.25
+        cfg = SimConfig(dt=dt, n_steps=2, n_paths=70, seed=seed)
+        first, second = simulate(LinearModel(0.0, 0.5), [0.0], cfg, [dt, 2 * dt], workers=workers)
+        for i in range(cfg.n_paths):
+            z = montecarlo._path_rng(seed, i).standard_normal(2) * math.sqrt(dt)
+            assert first.values[i] == z[0]
+            assert second.values[i] == z[0] + z[1]
+
+
 class TestEmpiricalW2:
     def test_identical_sets_give_zero(self):
         values = np.random.default_rng(0).normal(size=1000)
