@@ -76,15 +76,11 @@ def _at(t, values: np.ndarray):
     return values if np.ndim(t) else float(values[0])
 
 
-def _exact_w2_sq(p, t):
+def exact_w2_sq(p, t):
+    """Exact squared W2 between the retained-coordinate law and the reduced law
+    of either family, at a time t or on a 1-D array of times t."""
     full, reduced = _family_of(p).laws(p, _check_time(t))
     return _at(t, _w2_sq(*full, *reduced))
-
-
-def osc_w2_exact(p: OscillatorParams, t):
-    """Exact squared W2 between the oscillator marginal and reduced laws, at a
-    time t or on a 1-D array of times t."""
-    return _exact_w2_sq(p, t)
 
 
 def osc_highfriction_bound(p: OscillatorParams) -> float:
@@ -119,12 +115,6 @@ def osc_equilibrium_rate(p: OscillatorParams) -> EquilibriumRate:
         c_reduced=math.sqrt(c_red_sq),
         rate=lam2,
     )
-
-
-def coupled_w2_exact(p: CoupledParams, t):
-    """Exact squared W2 between the x1 marginal and the reduced law, at a time
-    t or on a 1-D array of times t."""
-    return _exact_w2_sq(p, t)
 
 
 def _small_k_bound(p: CoupledParams, k_max: float = SMALL_COUPLING_K_MAX) -> float | None:

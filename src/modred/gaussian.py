@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams
-from .linalg2 import check_symmetric_psd, sqrtm_spd2
+from .linalg2 import _sqrtm2_entries, check_symmetric_psd
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,20 +87,21 @@ def w2_2d(g1: Gaussian, g2: Gaussian) -> float:
     """
     _require_dim(g1, 2, "g1")
     _require_dim(g2, 2, "g2")
-    root_u = sqrtm_spd2(g1.cov)
-    root_v = sqrtm_spd2(g2.cov)
-    m = root_v @ root_u
-    # det m >= 0, so the maximiser of tr(Q^T m) is a rotation
-    cos_part = m[0, 0] + m[1, 1]
-    sin_part = m[1, 0] - m[0, 1]
+    (u11, u12, u22), (v11, v12, v22) = (
+        _sqrtm2_entries(a, 0.5 * b + 0.5 * c, d)
+        for (a, b), (c, d) in (g1.cov.tolist(), g2.cov.tolist())
+    )
+    # m = V^{1/2} U^{1/2} has det m >= 0, so the maximiser of tr(Q^T m) is
+    # the rotation Q = [[cos, -sin], [sin, cos]] along (m11 + m22, m21 - m12)
+    cos_part = (v11 * u11 + v12 * u12) + (v12 * u12 + v22 * u22)
+    sin_part = (v12 * u11 + v22 * u12) - (v11 * u12 + v12 * u22)
     norm = math.hypot(cos_part, sin_part)
-    if norm == 0.0:
-        q = np.eye(2)
-    else:
-        q = np.array([[cos_part, -sin_part], [sin_part, cos_part]]) / norm
-    resid = root_u - root_v @ q
-    diff = g1.mean - g2.mean
-    return math.sqrt(float(diff @ diff) + float(np.sum(resid * resid)))
+    cos, sin = (cos_part / norm, sin_part / norm) if norm else (1.0, 0.0)
+    # U^{1/2} - V^{1/2} Q
+    r11, r12 = u11 - (v11 * cos + v12 * sin), u12 - (v12 * cos - v11 * sin)
+    r21, r22 = u12 - (v12 * cos + v22 * sin), u22 - (v22 * cos - v12 * sin)
+    dm1, dm2 = (g1.mean - g2.mean).tolist()
+    return math.sqrt(dm1 * dm1 + dm2 * dm2 + (r11 * r11 + r12 * r12 + r21 * r21 + r22 * r22))
 
 
 def marginal(g: Gaussian, coord: int) -> Gaussian:

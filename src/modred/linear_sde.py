@@ -37,13 +37,7 @@ import numpy as np
 
 from .errors import InvalidParams, NonFinite, NotHurwitz
 from .gaussian import Gaussian
-from .linalg2 import (
-    _clearly_pd,
-    _expm2_entries,
-    _lyapunov2_entries,
-    check_symmetric_psd,
-    project_psd,
-)
+from .linalg2 import _expm2_entries, _lyapunov2_entries, _psd_entries, check_symmetric_psd
 
 # Below this ratio |2 delta t| / (1 + |2 tau t|) the divided differences in
 # ``_weights`` would cancel (see there).
@@ -182,12 +176,8 @@ def propagate_law(model: LinearModel, init: Gaussian, t: float) -> Gaussian:
         raise NonFinite(f"the propagated law overflows at t = {t!r}")
     if dim == 1:
         return Gaussian._trusted(np.array(mean), np.array([cov]))
-    c11, c12, c22 = cov
-    sym = np.array([[c11, c12], [c12, c22]])
-    # project_psd's own shortcut, decided before it builds an array
-    if t > 0.0 and not _clearly_pd(c11, c12, c22):
-        sym = project_psd(sym)
-    return Gaussian._trusted(np.array(mean), sym)
+    c11, c12, c22 = _psd_entries(*cov) if t > 0.0 else cov
+    return Gaussian._trusted(np.array(mean), np.array([[c11, c12], [c12, c22]]))
 
 
 def _propagate1(model: LinearModel, init: Gaussian, t: float) -> tuple[list, list]:
@@ -243,7 +233,8 @@ def stationary_law(model: LinearModel) -> Gaussian:
     """Stationary Gaussian law N(0, S) with C S + S C^T + 2 D = 0.
 
     A 2x2 S comes from the closed form of ``linalg2._lyapunov2_entries`` in
-    float arithmetic, with its errors (NotHurwitz, Singular).
+    float arithmetic, with its errors (NotHurwitz, Singular), projected onto
+    the PSD cone (``linalg2._psd_entries``).
     """
     if model.dim == 1:
         ((c,),), ((d,),) = model.drift.tolist(), model.diffusion.tolist()
@@ -255,8 +246,5 @@ def stationary_law(model: LinearModel) -> Gaussian:
         return Gaussian._trusted(np.zeros(1), np.array([[cov]]))
     (c11, c12), (c21, c22) = model.drift.tolist()
     (d11, d12), (d21, d22) = model.diffusion.tolist()
-    s11, s12, s22 = _lyapunov2_entries(c11, c12, c21, c22, d11, d12, d21, d22)
-    cov = np.array([[s11, s12], [s12, s22]])
-    if not _clearly_pd(s11, s12, s22):
-        cov = project_psd(cov)
-    return Gaussian._trusted(np.zeros(2), cov)
+    s11, s12, s22 = _psd_entries(*_lyapunov2_entries(c11, c12, c21, c22, d11, d12, d21, d22))
+    return Gaussian._trusted(np.zeros(2), np.array([[s11, s12], [s12, s22]]))

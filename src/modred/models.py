@@ -18,8 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidParams, Unsupported
-from .gaussian import Gaussian, marginal
-from .linear_sde import stationary_law
+from .gaussian import Gaussian
 from .reduction import CoupledParams, OscillatorParams
 
 
@@ -200,6 +199,5 @@ def equilibrium_laws(p) -> tuple[Gaussian, Gaussian]:
     the full linear model, the reduced one from the calibrated OU model; the
     two must coincide.
     """
-    full = stationary_law(p.to_linear_model())
-    reduced_eq = Gaussian(mean=0.0, cov=p.reduce().stationary_variance)
-    return (marginal(full, 1), reduced_eq)
+    original = Gaussian(mean=0.0, cov=p._full_stationary_variance())
+    return original, Gaussian(mean=0.0, cov=p.reduce().stationary_variance)

@@ -140,12 +140,16 @@ def _record_steps(record_times, cfg: SimConfig) -> list[int]:
 
 
 def _check_step(model: LinearModel, dt: float) -> None:
-    drift = model.drift
-    radius = abs(drift[0, 0]) if model.dim == 1 else spectral_radius(drift)
+    radius = abs(model.drift[0, 0]) if model.dim == 1 else spectral_radius(model.drift)
     if dt * radius >= 0.5:
         raise UnstableStep(
             f"dt*|stiffest eigenvalue| = {dt * radius:.3g} >= 0.5; reduce dt"
         )
+
+
+def _root(m: np.ndarray) -> np.ndarray:
+    """PSD square root of a validated 1x1 or 2x2 covariance-like matrix."""
+    return np.sqrt(np.maximum(m, 0.0)) if m.shape == (1, 1) else sqrtm_spd2(m)
 
 
 class _Ensemble:
@@ -156,12 +160,7 @@ class _Ensemble:
         if isinstance(init, Gaussian):
             if init.dim != dim:
                 raise InvalidParams("initial law dimension does not match the model")
-            self.init_mean = init.mean
-            self.init_root = (
-                np.array([[math.sqrt(max(init.variance, 0.0))]])
-                if dim == 1
-                else sqrtm_spd2(init.cov)
-            )
+            self.init_mean, self.init_root = init.mean, _root(init.cov)
         else:
             point = np.atleast_1d(np.asarray(init, dtype=float))
             if point.shape != (dim,):
@@ -169,10 +168,7 @@ class _Ensemble:
             if not np.all(np.isfinite(point)):
                 raise InvalidParams("initial state must be finite")
             self.init_mean, self.init_root = point, None
-        if dim == 1:
-            noise_root = np.array([[math.sqrt(max(2.0 * model.diffusion[0, 0], 0.0))]])
-        else:
-            noise_root = sqrtm_spd2(2.0 * model.diffusion)
+        noise_root = _root(2.0 * model.diffusion)
         self.dim = dim
         # stream positions of the first step's draws and one past the last's
         self.first = 0 if self.init_root is None else dim

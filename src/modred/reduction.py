@@ -30,11 +30,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams, NotOverdamped
-from .linear_sde import LinearModel, stationary_law
+from .linalg2 import _lyapunov2_entries, _psd_entries
+from .linear_sde import LinearModel
+
+
+class _LinearFamily:
+    """The linear model of a two-dimensional parameter type, from its
+    ``_entries()``: the drift's and then the diffusion's entries, row by
+    row, as floats."""
+
+    def drift_matrix(self) -> np.ndarray:
+        return np.reshape(self._entries()[:4], (2, 2))
+
+    def diffusion_matrix(self) -> np.ndarray:
+        return np.reshape(self._entries()[4:], (2, 2))
+
+    def to_linear_model(self) -> LinearModel:
+        return LinearModel(self.drift_matrix(), self.diffusion_matrix())
+
+    def _full_stationary_variance(self) -> float:
+        """Stationary variance of the retained (first) coordinate, as
+        ``stationary_law(self.to_linear_model())`` gives it, without the model."""
+        return _psd_entries(*_lyapunov2_entries(*self._entries()))[0]
 
 
 @dataclass(frozen=True)
-class OscillatorParams:
+class OscillatorParams(_LinearFamily):
     """Underdamped Brownian oscillator parameters.
 
     gamma: friction (1/time), omega: frequency (1/time), beta: inverse
@@ -85,18 +106,14 @@ class OscillatorParams:
     def reduce(self) -> ReducedModel:
         return reduce_oscillator(self)
 
-    def drift_matrix(self) -> np.ndarray:
-        return np.array([[0.0, 1.0], [-self.omega**2, -self.gamma]])
-
-    def diffusion_matrix(self) -> np.ndarray:
-        return np.array([[0.0, 0.0], [0.0, self.gamma / self.beta]])
-
-    def to_linear_model(self) -> LinearModel:
-        return LinearModel(self.drift_matrix(), self.diffusion_matrix())
+    def _entries(self) -> tuple[float, ...]:
+        return tuple(map(float, (
+            0.0, 1.0, -self.omega**2, -self.gamma, 0.0, 0.0, 0.0, self.gamma / self.beta
+        )))
 
 
 @dataclass(frozen=True)
-class CoupledParams:
+class CoupledParams(_LinearFamily):
     """Coupled overdamped oscillator parameters.
 
     a, d < 0 (with a >= d) are the self-relaxation rates, k > 0 the
@@ -161,14 +178,10 @@ class CoupledParams:
     def reduce(self) -> ReducedModel:
         return reduce_coupled(self)
 
-    def drift_matrix(self) -> np.ndarray:
-        return np.array([[self.a - self.k, self.k], [self.k, self.d - self.k]])
-
-    def diffusion_matrix(self) -> np.ndarray:
-        return np.array([[self.sigma1, 0.0], [0.0, self.sigma2]])
-
-    def to_linear_model(self) -> LinearModel:
-        return LinearModel(self.drift_matrix(), self.diffusion_matrix())
+    def _entries(self) -> tuple[float, ...]:
+        return tuple(map(float, (
+            self.a - self.k, self.k, self.k, self.d - self.k, self.sigma1, 0.0, 0.0, self.sigma2
+        )))
 
 
 @dataclass(frozen=True)
@@ -238,7 +251,7 @@ def reduce_coupled(p: CoupledParams) -> ReducedModel:
     if p.is_normalized:
         variance = -0.5 * (1.0 / (p.a - 2.0 * p.k) + 1.0 / p.a)
     else:
-        variance = float(stationary_law(p.to_linear_model()).cov[0, 0])
+        variance = p._full_stationary_variance()
     diffusion = -drift * variance
     return ReducedModel(
         drift=drift,

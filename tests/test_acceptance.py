@@ -17,16 +17,15 @@ from modred import (
     bootstrap_w2_se,
     coupled_full_law,
     coupled_small_k_bound,
-    coupled_w2_exact,
     eig2,
     empirical_w2_1d,
     equilibrium_laws,
+    exact_w2_sq,
     invariance_roots,
     is_hurwitz,
     model_time_grid,
     moment_estimates,
     osc_highfriction_bound,
-    osc_w2_exact,
     oscillator_full_law,
     oscillator_marginal_law,
     oscillator_reduced_law,
@@ -112,7 +111,7 @@ def test_criterion_3_high_friction_decay():
         for gamma in gammas:
             p = OscillatorParams(gamma=gamma, omega=2.0, beta=1.0, x0=1.0, v0=0.0)
             grid = model_time_grid(p)
-            sups[gamma] = max(osc_w2_exact(p, float(t)) for t in grid)
+            sups[gamma] = max(exact_w2_sq(p, float(t)) for t in grid)
             bounds[gamma] = osc_highfriction_bound(p)
         assert math.isclose(bounds[5.0], 32.0 / 9.0, rel_tol=1e-13)
         for gamma in gammas:
@@ -128,12 +127,12 @@ def test_criterion_4_exponential_closeness_rate():
         p = OscillatorParams(gamma=5.0, omega=2.0, beta=1.0, x0=1.0, v0=0.0)
         rate = p.rate_slow
         ts = np.linspace(5.0 / rate, 20.0 / rate, 16)
-        slope = np.polyfit(ts, [0.5 * math.log(osc_w2_exact(p, float(t))) for t in ts], 1)[0]
+        slope = np.polyfit(ts, [0.5 * math.log(exact_w2_sq(p, float(t))) for t in ts], 1)[0]
         assert abs(-slope - rate) <= 0.02 * rate
 
         q = CoupledParams(a=-1.0, d=-1.0, k=1.0, x1=1.0, x2=0.0)
         ts = np.linspace(5.0, 20.0, 16)
-        slope = np.polyfit(ts, [0.5 * math.log(coupled_w2_exact(q, float(t))) for t in ts], 1)[0]
+        slope = np.polyfit(ts, [0.5 * math.log(exact_w2_sq(q, float(t))) for t in ts], 1)[0]
         assert abs(slope - q.a) <= 0.02 * abs(q.a)
 
 
@@ -144,7 +143,7 @@ def test_criterion_5_small_coupling_scaling():
         for k in ks:
             p = CoupledParams(a=-1.0, d=-1.0, k=k, x1=1.0, x2=0.0)
             grid = model_time_grid(p)
-            sups.append(max(coupled_w2_exact(p, float(t)) for t in grid))
+            sups.append(max(exact_w2_sq(p, float(t)) for t in grid))
             bounds.append(coupled_small_k_bound(p))
         for sup, bound in zip(sups, bounds):
             assert sup <= bound
@@ -204,7 +203,7 @@ def test_criterion_7_monte_carlo_cross_check():
             assert abs(est_r.variance - law_r.variance) <= 4.0 * est_r.se_variance
             emp = empirical_w2_1d(retained, reduced_set.values)
             se = bootstrap_w2_se(retained, reduced_set.values, seed=cfg.seed)
-            assert abs(emp - math.sqrt(osc_w2_exact(p, t))) <= 3.0 * se
+            assert abs(emp - math.sqrt(exact_w2_sq(p, t))) <= 3.0 * se
 
 
 def test_criterion_8_algebraic_identities():

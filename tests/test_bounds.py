@@ -16,14 +16,13 @@ from modred import (
     coupled_equilibrium_rate,
     coupled_longtime_bound,
     coupled_small_k_bound,
-    coupled_w2_exact,
     default_time_grid,
     empirical_w2_1d,
+    exact_w2_sq,
     model_time_grid,
     osc_equilibrium_rate,
     osc_highfriction_bound,
     osc_longtime_bound,
-    osc_w2_exact,
     oscillator_marginal_law,
     oscillator_reduced_law,
     reduce_coupled,
@@ -40,21 +39,21 @@ BASE_COUPLED = CoupledParams(a=-1.0, d=-1.0, k=1.0, x1=1.0, x2=0.0)
 
 class TestExactDistances:
     def test_osc_zero_at_t0(self):
-        assert osc_w2_exact(BASE_OSC, 0.0) == 0.0
+        assert exact_w2_sq(BASE_OSC, 0.0) == 0.0
 
     def test_osc_vanishes_at_long_time(self):
-        assert osc_w2_exact(BASE_OSC, 200.0) < 1e-25
+        assert exact_w2_sq(BASE_OSC, 200.0) < 1e-25
 
     def test_osc_matches_w2_1d(self):
         for t in [0.1, 0.5, 1.0, 3.0]:
-            direct = osc_w2_exact(BASE_OSC, t)
+            direct = exact_w2_sq(BASE_OSC, t)
             via_w2 = w2_1d(
                 oscillator_marginal_law(BASE_OSC, t), oscillator_reduced_law(BASE_OSC, t)
             ) ** 2
             assert abs(direct - via_w2) < 1e-13 * max(1.0, direct)
 
     def test_coupled_zero_at_t0(self):
-        assert coupled_w2_exact(BASE_COUPLED, 0.0) == 0.0
+        assert exact_w2_sq(BASE_COUPLED, 0.0) == 0.0
 
     def test_coupled_equal_start_drops_mean_term(self):
         p = CoupledParams(a=-1.0, d=-1.0, k=1.0, x1=0.5, x2=0.5)
@@ -67,11 +66,11 @@ class TestExactDistances:
             variance_term = (
                 math.sqrt(full.cov[0, 0]) - math.sqrt(reduced.variance)
             ) ** 2
-            assert math.isclose(coupled_w2_exact(p, t), variance_term, rel_tol=1e-12)
+            assert math.isclose(exact_w2_sq(p, t), variance_term, rel_tol=1e-12)
 
     def test_coupled_rejects_general_case(self):
         with pytest.raises(Unsupported):
-            coupled_w2_exact(CoupledParams(a=-1.0, d=-2.0, k=1.0), 1.0)
+            exact_w2_sq(CoupledParams(a=-1.0, d=-2.0, k=1.0), 1.0)
 
 
 class TestOscillatorBounds:
@@ -164,7 +163,7 @@ class TestCoupledBounds:
 
     def test_longtime_dominates_exact(self):
         for t in model_time_grid(BASE_COUPLED):
-            assert coupled_w2_exact(BASE_COUPLED, float(t)) <= coupled_longtime_bound(
+            assert exact_w2_sq(BASE_COUPLED, float(t)) <= coupled_longtime_bound(
                 BASE_COUPLED, float(t)
             ) * (1 + 1e-12) + 1e-15
 
@@ -272,7 +271,7 @@ class TestMonteCarloCrossCheck:
         (full,), (reduced,) = simulate_ensembles(ensembles, cfg, [1.0])
         emp = empirical_w2_1d(full.values[:, 0], reduced.values)
         se = bootstrap_w2_se(full.values[:, 0], reduced.values, seed=777)
-        assert abs(emp - math.sqrt(osc_w2_exact(p, 1.0))) <= 3.0 * se
+        assert abs(emp - math.sqrt(exact_w2_sq(p, 1.0))) <= 3.0 * se
 
     def test_coupled_exact_within_three_se(self):
         p = BASE_COUPLED
@@ -282,7 +281,7 @@ class TestMonteCarloCrossCheck:
         (full,), (reduced,) = simulate_ensembles(ensembles, cfg, [1.0])
         emp = empirical_w2_1d(full.values[:, 0], reduced.values)
         se = bootstrap_w2_se(full.values[:, 0], reduced.values, seed=778)
-        assert abs(emp - math.sqrt(coupled_w2_exact(p, 1.0))) <= 3.0 * se
+        assert abs(emp - math.sqrt(exact_w2_sq(p, 1.0))) <= 3.0 * se
 
 
 class TestValidationErrors:

@@ -13,12 +13,11 @@ from modred import (
     coupled_full_law,
     coupled_reduced_law,
     coupled_small_k_bound,
-    coupled_w2_exact,
     empirical_w2_1d,
+    exact_w2_sq,
     model_time_grid,
     moment_estimates,
     osc_highfriction_bound,
-    osc_w2_exact,
     oscillator_marginal_law,
     oscillator_reduced_law,
     simulate,
@@ -58,7 +57,7 @@ class TestLawCommand:
             cells = line.split(",")
             law = oscillator_marginal_law(p, float(t))
             reduced = oscillator_reduced_law(p, float(t))
-            w2_sq = osc_w2_exact(p, float(t))
+            w2_sq = exact_w2_sq(p, float(t))
             expected = [
                 float(t), law.mean[0], law.variance, reduced.mean[0], reduced.variance,
                 math.sqrt(max(w2_sq, 0.0)), w2_sq,
@@ -275,10 +274,10 @@ def _single_time_laws(p, t):
     """Retained and reduced law at one time t, by the single-time library calls."""
     if type(p) is OscillatorParams:
         full, reduced = oscillator_marginal_law(p, t), oscillator_reduced_law(p, t)
-        return full.mean[0], full.variance, reduced.mean[0], reduced.variance, osc_w2_exact(p, t)
+        return full.mean[0], full.variance, reduced.mean[0], reduced.variance, exact_w2_sq(p, t)
     joint, reduced = coupled_full_law(p, t), coupled_reduced_law(p, t)
     return (joint.mean[0], max(joint.cov[0, 0], 0.0), reduced.mean[0], reduced.variance,
-            coupled_w2_exact(p, t))
+            exact_w2_sq(p, t))
 
 
 def _cells(values):

@@ -19,9 +19,8 @@ from modred import (
     coupled_full_law,
     coupled_longtime_bound,
     coupled_reduced_law,
-    coupled_w2_exact,
+    exact_w2_sq,
     osc_longtime_bound,
-    osc_w2_exact,
     oscillator_full_law,
     oscillator_marginal_law,
     oscillator_reduced_law,
@@ -84,10 +83,10 @@ def test_oscillator_grid_matches_scalar_calls(p, factors):
         points = [law_fn(p, t) for t in times]
         assert_same_bits(law.mean, [g.mean[0] for g in points])
         assert_same_bits(law.var, [g.variance for g in points])
-    assert_same_bits(osc_w2_exact(p, grid), [osc_w2_exact(p, t) for t in times])
+    assert_same_bits(exact_w2_sq(p, grid), [exact_w2_sq(p, t) for t in times])
     assert_same_bits(osc_longtime_bound(p, grid), [osc_longtime_bound(p, t) for t in times])
     families = ["high_friction", "long_time", *EQUILIBRIUM]
-    check_rows(p, grid, families, osc_w2_exact, osc_longtime_bound)
+    check_rows(p, grid, families, exact_w2_sq, osc_longtime_bound)
 
 
 @settings(max_examples=100, deadline=None)
@@ -106,13 +105,13 @@ def test_coupled_grid_matches_scalar_calls(p, factors):
     points = [coupled_reduced_law(p, t) for t in times]
     assert_same_bits(reduced.mean, [g.mean[0] for g in points])
     assert_same_bits(reduced.var, [g.variance for g in points])
-    assert_same_bits(coupled_w2_exact(p, grid), [coupled_w2_exact(p, t) for t in times])
+    assert_same_bits(exact_w2_sq(p, grid), [exact_w2_sq(p, t) for t in times])
     assert_same_bits(
         coupled_longtime_bound(p, grid), [coupled_longtime_bound(p, t) for t in times]
     )
     small = ["small_coupling"] if p.k <= SMALL_COUPLING_K_MAX else []
     families = [*small, "long_time", *EQUILIBRIUM]
-    check_rows(p, grid, families, coupled_w2_exact, coupled_longtime_bound)
+    check_rows(p, grid, families, exact_w2_sq, coupled_longtime_bound)
 
 
 @pytest.mark.parametrize("bad", [[0.0, -1.0], [0.0, np.nan], [[0.0, 1.0]]])
@@ -121,7 +120,7 @@ def test_time_arrays_are_checked(bad):
     with pytest.raises(InvalidParams):
         oscillator_marginal_law(p, np.array(bad))
     with pytest.raises(InvalidParams):
-        osc_w2_exact(p, np.array(bad))
+        exact_w2_sq(p, np.array(bad))
 
 
 def test_full_oscillator_law_takes_a_single_time():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -21,7 +22,7 @@ from modred import (
     spectral_radius,
     sqrtm_spd2,
 )
-from modred.linalg2 import project_psd
+from modred.linalg2 import _lyapunov2_entries, project_psd
 
 finite_entry = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
@@ -175,6 +176,15 @@ class TestSqrtmSpd2:
         s = sqrtm_spd2(m)
         assert eig2(s)[1] >= 0.0
         assert np.max(np.abs(s @ s - m)) < 1e-12
+
+    @pytest.mark.parametrize("half", [-530, -300, 300, 511])
+    def test_power_of_four_scaling_is_exact(self, half):
+        # sqrt(4^j M) = 2^j sqrt(M), also where det M would under- or overflow
+        m = np.array([[2.0, 1.0], [1.0, 3.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sqrtm_spd2(np.ldexp(m, 2 * half))
+        assert got.tobytes() == np.ldexp(sqrtm_spd2(m), half).tobytes()
 
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSPD):
@@ -402,3 +412,91 @@ class TestLyapunovOracle:
         s_max = float(max(abs(x) for x in exact))
         err = max(abs(mpmath.mpf(float(a)) - b) for a, b in zip(sigma[np.triu_indices(2)], exact))
         assert float(err) <= lyapunov_error_bound(c, d, s_max)
+
+
+@st.composite
+def scaled_mat2(draw):
+    """2x2 matrices at scales 2^-1000 to 2^1000, with entries down to 2^-60 of
+    that: four free entries (real or complex pairs), a repeated eigenvalue
+    (triangular, equal diagonal), a zero eigenvalue (rows proportional by a
+    power of 2) or zero trace (a complex pair on the imaginary axis)."""
+    kind = draw(st.sampled_from(["general", "repeated", "zero", "zero_trace"]))
+    u11, u12, u21, u22 = (draw(unit_entry) * 2.0 ** -draw(st.integers(0, 60)) for _ in range(4))
+    if kind == "repeated":
+        m = [[u11, u12], [0.0, u11]]
+    elif kind == "zero":
+        f = 2.0 ** draw(st.integers(-4, 4))
+        m = [[u11, u12], [f * u11, f * u12]]
+    elif kind == "zero_trace":
+        m = [[u11, u12], [u21, -u11]]
+    else:
+        m = [[u11, u12], [u21, u22]]
+    m = np.array(m) * 2.0 ** draw(st.integers(-1000, 1000))
+    return m.T if draw(st.booleans()) else m
+
+
+class TestEig2Scaling:
+    def test_zero_eigenvalue_below_the_square_underflow(self):
+        # (a - d)^2 = 4.4e-609 underflows unless the entries are scaled first
+        assert eig2([[0.0, 0.0], [0.0, -6.67e-305]]) == (0.0, -6.67e-305)
+        assert not is_hurwitz([[0.0, 0.0], [0.0, -6.67e-305]])
+
+    def test_large_entries_do_not_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert eig2([[-1e200, 1e200], [0.0, -2e200]]) == (-1e200, -2e200)
+            assert is_hurwitz([[-1e200, 1e200], [0.0, -2e200]])
+            assert spectral_radius([[-1e200, 1e200], [0.0, -2e200]]) == 2e200
+
+    @given(scaled_mat2())
+    @example(np.array([[0.0, 0.0], [0.0, -6.67e-305]]))
+    @example(np.array([[-1e200, 1e200], [0.0, -2e200]]))
+    @example(np.array([[0.0, 1.0], [-1.0, 0.0]]) * 2.0**1000)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_50_digit_eigensolve(self, m):
+        out = eig2(m)
+        if isinstance(out, ComplexPair):
+            assert out.imag > 0.0
+            got = [complex(out.real, out.imag), complex(out.real, -out.imag)]
+        else:
+            assert out[0] >= out[1]
+            got = [complex(x) for x in out]
+        (a, b), (c, d) = m.tolist()
+        with mpmath.workdps(50):
+            exact = mpmath.eig(mpmath.matrix(m.tolist()), left=False, right=False)
+            err = min(
+                max(abs(mpmath.mpc(got[0]) - exact[i]), abs(mpmath.mpc(got[1]) - exact[1 - i]))
+                for i in (0, 1)
+            )
+            disc = (mpmath.mpf(a) - d) ** 2 + 4 * mpmath.mpf(b) * c
+            size = (mpmath.mpf(a) - d) ** 2 + 4 * abs(mpmath.mpf(b) * c)
+            # the rounding of the discriminant, 8 u of the terms it sums,
+            # moves its root by at most sqrt of that, and by that over the
+            # root where the root is larger; the half trace and the last sum
+            # add 4 u of the largest entry, and a result that rounds to a
+            # subnormal a few units of the smallest one
+            u = 2.0**-53
+            disc_err = 8 * u * size
+            root_err = mpmath.sqrt(disc_err)
+            if disc:
+                root_err = min(root_err, disc_err / mpmath.sqrt(abs(disc)))
+            bound = 4 * u * max(abs(a), abs(b), abs(c), abs(d)) + 0.5 * root_err + 2.0**-1072
+            assert err <= bound
+
+
+class TestSingleHurwitzTest:
+    @given(scaled_mat2(), st.sampled_from([np.eye(2), np.diag([1.0, 0.0]), np.zeros((2, 2))]))
+    @example(np.array([[0.0, 0.0], [0.0, -6.67e-305]]), np.eye(2))
+    @example(np.array([[-1e200, 1e200], [0.0, -2e200]]), np.eye(2))
+    @settings(max_examples=400, deadline=None)
+    def test_lyapunov_refuses_exactly_the_non_hurwitz_drifts(self, c, d):
+        (c11, c12), (c21, c22) = c.tolist()
+        (d11, d12), (d21, d22) = d.tolist()
+        refused = False
+        try:
+            _lyapunov2_entries(c11, c12, c21, c22, d11, d12, d21, d22)
+        except NotHurwitz:
+            refused = True
+        except Singular:
+            pass
+        assert refused == (not is_hurwitz(c))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,15 @@ class TestSimulate:
         cfg = SimConfig(dt=0.2, n_steps=10, n_paths=10, seed=0)
         with pytest.raises(UnstableStep):
             simulate(BASE_OSC.to_linear_model(), [1.0, 0.0], cfg, [0.2])
+
+    def test_unstable_step_on_large_entries_reports_the_finite_radius(self):
+        # eigenvalues -1e200 and -2e200: an unscaled discriminant overflows
+        model = LinearModel([[-1e200, 1e200], [0.0, -2e200]], np.eye(2))
+        cfg = SimConfig(dt=1e-3, n_steps=10, n_paths=10, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnstableStep, match=r"= 2e\+197 >= 0.5"):
+                simulate(model, [1.0, 0.0], cfg, [1e-3])
 
     def test_nonfinite_state_detected(self):
         # stable per the dt guard but exponentially growing until overflow

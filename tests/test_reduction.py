@@ -3,21 +3,24 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modred import (
     CoupledParams,
     InvalidParams,
+    LinearModel,
     NotOverdamped,
     OscillatorParams,
     ReducedModel,
     eig2,
+    equilibrium_laws,
     invariance_roots,
     reduce_coupled,
     reduce_oscillator,
     select_closure,
     solve_lyapunov2,
+    stationary_law,
 )
 
 rate_a = st.floats(min_value=-5.0, max_value=-0.1, allow_nan=False)
@@ -192,6 +195,39 @@ class TestReduceCoupled:
             rm = reduce_coupled(p)
             lam_plus, _ = eig2(p.drift_matrix())
             assert abs(rm.drift - lam_plus) < 1e-12
+
+
+class TestStationaryVarianceFromEntries:
+    """reduce_coupled and equilibrium_laws read the stationary covariance from
+    the parameters' entries, without building a LinearModel."""
+
+    def test_no_linear_model_is_built(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a LinearModel was built")
+
+        monkeypatch.setattr(LinearModel, "__post_init__", refuse)
+        p = CoupledParams(a=-1.0, d=-3.0, k=0.7, sigma1=0.5, sigma2=2.0)
+        assert not p.is_normalized
+        assert reduce_coupled(p).stationary_variance > 0.0
+        for q in (p, CoupledParams(a=-1.0, d=-1.0, k=1.0), OscillatorParams(gamma=5.0, omega=2.0, beta=1.0)):
+            original, reduced = equilibrium_laws(q)
+            assert math.isclose(original.variance, reduced.variance, rel_tol=1e-12)
+
+    @given(
+        st.floats(-3.0, 3.0), st.floats(0.0, math.log(1e6)), st.floats(-5.0, 5.0),
+        st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bit_equal_to_the_stationary_law_of_the_model(self, log_a, log_ratio, log_k, log_s1, log_s2):
+        # |d/a| up to 1e6 and noise strengths in e^-3 to e^3
+        a = -math.exp(log_a)
+        p = CoupledParams(a=a, d=a * math.exp(log_ratio), k=-a * math.exp(log_k),
+                          sigma1=math.exp(log_s1), sigma2=math.exp(log_s2))
+        assume(not p.is_normalized)
+        variance = float(stationary_law(p.to_linear_model()).cov[0, 0])
+        rm = reduce_coupled(p)
+        assert rm.diffusion == -rm.drift * variance
+        assert equilibrium_laws(p)[0].variance == variance
 
 
 class TestReduceOscillator:
