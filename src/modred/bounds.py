@@ -7,7 +7,8 @@ every bound with the exact distance over a time grid and reports margins.
 
 ``FAMILIES`` is the one table of model families, keyed by the CLI's
 ``--model`` name: each entry says how to build a family's parameters from
-the CLI flags, which laws it compares and which bounds it states.
+the CLI flags, which laws it compares and which bounds it states, each a
+``Bound`` entry with the domain where it is stated.
 """
 
 from __future__ import annotations
@@ -117,24 +118,17 @@ def osc_equilibrium_rate(p: OscillatorParams) -> EquilibriumRate:
     )
 
 
-def _small_k_bound(p: CoupledParams, k_max: float = SMALL_COUPLING_K_MAX) -> float | None:
-    """The small-coupling bound, or None for k > k_max, where it is not stated."""
-    _require_normalized(p)
-    if p.k > k_max:
-        return None
-    a_sq = p.a**2
-    return (
-        p.k**2 * (p.x2 - p.x1) ** 2 / (a_sq * math.e**2)
-        + p.k / (a_sq * math.e)
-    )
+def _small_coupling(p: CoupledParams) -> bool:
+    return p.k <= SMALL_COUPLING_K_MAX
 
 
-def coupled_small_k_bound(p: CoupledParams, k_max: float = SMALL_COUPLING_K_MAX) -> float:
+def coupled_small_k_bound(p: CoupledParams) -> float:
     """Uniform-in-time bound k^2 (x2-x1)^2/(a^2 e^2) + k/(a^2 e), linear in k."""
-    bound = _small_k_bound(p, k_max)
-    if bound is None:
-        raise InvalidParams(f"small-coupling bound assumes k <= {k_max}")
-    return bound
+    _require_normalized(p)
+    if not _small_coupling(p):
+        raise InvalidParams(f"small-coupling bound assumes k <= {SMALL_COUPLING_K_MAX}")
+    a_sq = p.a**2
+    return p.k**2 * (p.x2 - p.x1) ** 2 / (a_sq * math.e**2) + p.k / (a_sq * math.e)
 
 
 def coupled_longtime_bound(p: CoupledParams, t):
@@ -218,47 +212,21 @@ def sup_exact_w2_sq(p, grid) -> float:
     return float(np.max(law_table(p, grid)[3]))
 
 
-def _bound_families(p, grid: np.ndarray, full: GridLaw, reduced: GridLaw, exact: np.ndarray):
-    """(name, exact W2^2, bound) arrays of every bound that applies to p.
-
-    A family's uniform bound is left out where it is not stated (the
-    small-coupling bound for k > SMALL_COUPLING_K_MAX); the others still apply.
-    """
-    family = _family_of(p)
-    uniform = family.uniform_bound(p)
-    long_time = family.long_time(p, grid)
-    rates = family.equilibrium_rate(p)
-    eq_original, eq_reduced = equilibrium_laws(p)
-    decay = np.exp(-rates.rate * grid)
-    return [
-        *([] if uniform is None else [(family.uniform, exact, np.full(grid.shape, uniform))]),
-        ("long_time", exact, long_time),
-        (
-            "equilibrium_rate_original",
-            _w2_sq(*full, eq_original.mean[0], eq_original.variance),
-            (rates.c_original * decay) ** 2,
-        ),
-        (
-            "equilibrium_rate_reduced",
-            _w2_sq(*reduced, eq_reduced.mean[0], eq_reduced.variance),
-            (rates.c_reduced * decay) ** 2,
-        ),
-    ]
-
-
 def verify_bounds(p, grid=None) -> list[BoundReport]:
-    """Evaluate every applicable bound on the grid and report margins.
+    """Evaluate every bound stated for p on the grid and report margins.
 
     Defaults to the 60-point grid at the slow relaxation rate.  Reports are
-    ordered by bound family and then by time.  A coupled pair with
-    k > SMALL_COUPLING_K_MAX has no small_coupling rows.
+    ordered by the family's bounds, then by time; a bound whose domain does
+    not hold for p (small-coupling for k > SMALL_COUPLING_K_MAX) has none.
     """
     grid, full, reduced, exact = law_table(
         p, default_time_grid(p.rate_slow) if grid is None else grid
     )
     times = grid.tolist()
     reports = []
-    for name, exact_sq, bound in _bound_families(p, grid, full, reduced, exact):
+    for entry in (bound for bound in _family_of(p).bounds if bound.holds(p)):
+        exact_sq = entry.exact(p, (full, reduced), exact)
+        bound = np.full(grid.shape, entry.value(p, grid))
         rows = zip(
             times,
             exact_sq.tolist(),
@@ -266,8 +234,38 @@ def verify_bounds(p, grid=None) -> list[BoundReport]:
             bound_satisfied(exact_sq, bound).tolist(),
             (bound - exact_sq).tolist(),
         )
-        reports += [BoundReport(name, *row) for row in rows]
+        reports += [BoundReport(entry.name, *row) for row in rows]
     return reports
+
+
+class Bound(NamedTuple):
+    """One bound a family states: ``holds(p)`` says whether it is stated for p,
+    ``domain`` in words.  On the grid and laws ``(full, reduced)`` of
+    ``law_table``, ``exact(p, laws, w2_sq)`` is the squared W2 it dominates
+    (by default the reduction's, ``w2_sq``) and ``value(p, grid)`` the bound:
+    an array on the grid, or one number for a uniform-in-time bound.
+    """
+
+    name: str
+    value: Callable
+    exact: Callable = lambda p, laws, w2_sq: w2_sq
+    holds: Callable = lambda p: True
+    domain: str = "every parameter set"
+
+
+def _equilibrium_bound(side: int, rate_of: Callable) -> Bound:
+    """W2(law(t), equilibrium) <= C e^{-rate t} for the retained-coordinate
+    (side 0) or the reduced law (side 1), with constants rate_of(p)."""
+
+    def exact(p, laws, w2_sq):
+        eq = equilibrium_laws(p)[side]
+        return _w2_sq(*laws[side], eq.mean[0], eq.variance)
+
+    def value(p, grid):
+        rates = rate_of(p)
+        return (rates[side] * np.exp(-rates.rate * grid)) ** 2
+
+    return Bound(f"equilibrium_rate_{('original', 'reduced')[side]}", value, exact)
 
 
 class Family(NamedTuple):
@@ -277,8 +275,8 @@ class Family(NamedTuple):
     ``required`` ones and those ``optional`` ones that are given; every flag
     can be swept.
     ``laws(p, times)`` gives the retained-coordinate and reduced GridLaw;
-    ``uniform_bound(p)`` is the bound named ``uniform``, or None outside
-    ``uniform_domain``, where it is not stated.
+    ``bounds`` are its ``Bound`` entries in report order, the uniform-in-time
+    one, which ``modred sweep`` reports, first.
     """
 
     params: type
@@ -286,11 +284,7 @@ class Family(NamedTuple):
     required: tuple[str, ...]
     optional: tuple[str, ...]
     laws: Callable
-    uniform: str
-    uniform_bound: Callable
-    uniform_domain: str
-    long_time: Callable
-    equilibrium_rate: Callable
+    bounds: tuple[Bound, ...]
 
 
 def _coupled_laws(p: CoupledParams, times: np.ndarray) -> tuple[GridLaw, GridLaw]:
@@ -308,11 +302,12 @@ FAMILIES = {
         required=("gamma", "omega", "beta"),
         optional=("x0", "v0"),
         laws=lambda p, t: (oscillator_marginal_law(p, t), oscillator_reduced_law(p, t)),
-        uniform="high_friction",
-        uniform_bound=osc_highfriction_bound,
-        uniform_domain="gamma > 2 omega",
-        long_time=osc_longtime_bound,
-        equilibrium_rate=osc_equilibrium_rate,
+        bounds=(
+            Bound("high_friction", lambda p, grid: osc_highfriction_bound(p)),
+            Bound("long_time", osc_longtime_bound),
+            _equilibrium_bound(0, osc_equilibrium_rate),
+            _equilibrium_bound(1, osc_equilibrium_rate),
+        ),
     ),
     "coupled": Family(
         params=CoupledParams,
@@ -321,11 +316,13 @@ FAMILIES = {
         required=("a", "k"),
         optional=("x1", "x2"),
         laws=_coupled_laws,
-        uniform="small_coupling",
-        uniform_bound=_small_k_bound,
-        uniform_domain=f"k <= {SMALL_COUPLING_K_MAX}",
-        long_time=coupled_longtime_bound,
-        equilibrium_rate=coupled_equilibrium_rate,
+        bounds=(
+            Bound("small_coupling", lambda p, grid: coupled_small_k_bound(p),
+                  holds=_small_coupling, domain=f"k <= {SMALL_COUPLING_K_MAX}"),
+            Bound("long_time", coupled_longtime_bound),
+            _equilibrium_bound(0, coupled_equilibrium_rate),
+            _equilibrium_bound(1, coupled_equilibrium_rate),
+        ),
     ),
 }
 

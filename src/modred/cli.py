@@ -69,7 +69,11 @@ class RunConfig:
     format: str | None = None
 
 
-_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+# Each field's type, from its annotation string, and the config values it takes.
+_FIELDS = {f.name: f.type.split(" ")[0] for f in dataclasses.fields(RunConfig)}
+_TAKES = {"float": (int, float), "int": (int,), "str": (str,)}
+# The fields of a custom time grid; a command's default grid needs all unset.
+_GRID_FIELDS = ("t_start", "t_end", "t_count", "t_spacing")
 
 
 def _load_config(path: str | None, flags: dict) -> RunConfig:
@@ -83,7 +87,7 @@ def _load_config(path: str | None, flags: dict) -> RunConfig:
         if not isinstance(data, dict):
             raise ConfigError("config file must contain a JSON object")
         data.pop("command", None)  # sidecar files are valid configs
-        unknown = set(data) - _FIELDS
+        unknown = data.keys() - _FIELDS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if isinstance(data.get("sweep"), dict):
@@ -93,21 +97,18 @@ def _load_config(path: str | None, flags: dict) -> RunConfig:
                 data["sweep"] = f"{spec['param']}={values}"
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError("sweep object needs 'param' and numeric 'values'") from exc
-    merged = dict(data)
-    for key, value in flags.items():
-        if value is not None:
-            merged[key] = value
-    try:
-        return RunConfig(**merged)
-    except TypeError as exc:
-        raise ConfigError(f"invalid config: {exc}") from exc
+    merged = {**data, **{key: value for key, value in flags.items() if value is not None}}
+    for key, value in merged.items():
+        kind = _FIELDS[key]
+        if value is not None and (isinstance(value, bool) or not isinstance(value, _TAKES[kind])):
+            raise ConfigError(f"config value {key} must be {kind}, not {value!r}")
+    return RunConfig(**merged)
 
 
 def _family(cfg: RunConfig) -> Family:
-    family = FAMILIES.get(cfg.model) if isinstance(cfg.model, str) else None
-    if family is None:
+    if cfg.model not in FAMILIES:
         raise ConfigError("--model must be " + " or ".join(map(repr, FAMILIES)))
-    return family
+    return FAMILIES[cfg.model]
 
 
 def _make_params(cfg: RunConfig, swept: str | None = None, value: float | None = None):
@@ -139,7 +140,7 @@ def _parse_sweep(cfg: RunConfig) -> tuple[str, list[float]]:
 
 
 def _make_grid(cfg: RunConfig, params) -> np.ndarray:
-    if cfg.t_start is None and cfg.t_end is None and cfg.t_count is None:
+    if all(getattr(cfg, name) is None for name in _GRID_FIELDS):
         return model_time_grid(params)
     start = cfg.t_start if cfg.t_start is not None else 0.0
     if cfg.t_end is None or cfg.t_count is None:
@@ -298,17 +299,18 @@ def cmd_sweep(config_path, **flags):
 
     def body(cfg: RunConfig) -> int:
         name, values = _parse_sweep(cfg)
-        family = _family(cfg)
+        uniform = _family(cfg).bounds[0]
+        unstated = f"{uniform.name.replace('_', '-')} bound assumes {uniform.domain}"
         header = ["param", "value", "sup_w2_sq", "bound", "ratio"]
         rows = []
         all_ok = True
         for value in values:
             params = _make_params(cfg, name, value)
-            sup = sup_exact_w2_sq(params, _make_grid(cfg, params))
-            bound = family.uniform_bound(params)
-            if bound is None:
-                unstated = family.uniform.replace("_", "-")
-                raise ConfigError(f"{unstated} bound assumes {family.uniform_domain}")
+            grid = _make_grid(cfg, params)
+            sup = sup_exact_w2_sq(params, grid)
+            if not uniform.holds(params):
+                raise ConfigError(unstated)
+            bound = uniform.value(params, grid)
             all_ok &= bound_satisfied(sup, bound)
             rows.append(dict(zip(header, (name, value, sup, bound, sup / bound))))
         _emit(rows, header, cfg, "sweep")
@@ -326,7 +328,7 @@ def cmd_simulate(config_path, **flags):
         if cfg.sweep is not None:
             raise ConfigError("simulate does not support --sweep")
         params = _make_params(cfg)
-        if cfg.t_start is None and cfg.t_end is None and cfg.t_count is None:
+        if all(getattr(cfg, name) is None for name in _GRID_FIELDS):
             cfg = dataclasses.replace(
                 cfg, t_start=0.5, t_end=2.0, t_count=3, t_spacing="geometric"
             )

@@ -32,9 +32,11 @@ from modred import (
     verify_bounds,
     w2_1d,
 )
+from modred.bounds import FAMILIES, bound_satisfied
 
 BASE_OSC = OscillatorParams(gamma=5.0, omega=2.0, beta=1.0, x0=1.0, v0=0.0)
 BASE_COUPLED = CoupledParams(a=-1.0, d=-1.0, k=1.0, x1=1.0, x2=0.0)
+EQUILIBRIUM = ["equilibrium_rate_original", "equilibrium_rate_reduced"]
 
 
 class TestExactDistances:
@@ -141,6 +143,14 @@ class TestCoupledBounds:
         with pytest.raises(InvalidParams):
             coupled_small_k_bound(CoupledParams(a=-1.0, d=-1.0, k=11.0))
 
+    def test_small_k_domain_ends_at_ten(self):
+        at_ten = CoupledParams(a=-1.0, d=-1.0, k=10.0, x1=1.0)
+        assert math.isclose(coupled_small_k_bound(at_ten), 100.0 / math.e**2 + 10.0 / math.e,
+                            rel_tol=1e-15)
+        beyond = CoupledParams(a=-1.0, d=-1.0, k=math.nextafter(10.0, math.inf), x1=1.0)
+        with pytest.raises(InvalidParams, match=r"^small-coupling bound assumes k <= 10\.0$"):
+            coupled_small_k_bound(beyond)
+
     def test_longtime_zero_at_t0(self):
         assert coupled_longtime_bound(BASE_COUPLED, 0.0) == 0.0
 
@@ -163,9 +173,8 @@ class TestCoupledBounds:
 
     def test_longtime_dominates_exact(self):
         for t in model_time_grid(BASE_COUPLED):
-            assert exact_w2_sq(BASE_COUPLED, float(t)) <= coupled_longtime_bound(
-                BASE_COUPLED, float(t)
-            ) * (1 + 1e-12) + 1e-15
+            exact = exact_w2_sq(BASE_COUPLED, float(t))
+            assert bound_satisfied(exact, coupled_longtime_bound(BASE_COUPLED, float(t)))
 
     def test_equilibrium_rate_hand_value(self):
         rates = coupled_equilibrium_rate(BASE_COUPLED)
@@ -190,6 +199,26 @@ class TestVerifyBounds:
         for k in [0.1, 1.0, 10.0]:
             p = CoupledParams(a=-1.0, d=-1.0, k=k, x1=1.0, x2=0.0)
             assert all(r.satisfied for r in verify_bounds(p))
+
+    # --model name -> parameter sets of that family and the bounds stated for them
+    TABLE_CASES = {
+        "oscillator": [(BASE_OSC, ["high_friction", "long_time", *EQUILIBRIUM])],
+        "coupled": [
+            (BASE_COUPLED, ["small_coupling", "long_time", *EQUILIBRIUM]),
+            (CoupledParams(a=-1.0, d=-1.0, k=20.0, x1=1.0), ["long_time", *EQUILIBRIUM]),
+        ],
+    }
+
+    def test_reports_follow_the_bound_table(self):
+        assert list(self.TABLE_CASES) == list(FAMILIES)
+        for model, cases in self.TABLE_CASES.items():
+            for p, names in cases:
+                stated = [entry.name for entry in FAMILIES[model].bounds if entry.holds(p)]
+                assert stated == names
+                grid = model_time_grid(p)
+                reports = verify_bounds(p, grid)
+                assert [r.name for r in reports] == [n for n in names for _ in grid]
+                assert [r.t for r in reports] == grid.tolist() * len(names)
 
     def test_reports_sorted_by_time_within_family(self):
         reports = verify_bounds(BASE_OSC)

@@ -167,6 +167,23 @@ class TestSweepCommand:
         result = invoke(runner, ["sweep", *OSC_ARGS])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("k, stated",
+                             [("10", True), (repr(math.nextafter(10.0, math.inf)), False)])
+    def test_bounds_and_sweep_share_the_small_coupling_domain(self, runner, k, stated):
+        base = ["--model", "coupled", "--a", "-1", "--x1", "1"]
+        bounds = invoke(runner, ["bounds", *base, "--k", k])
+        assert bounds.exit_code == 0
+        names = [line.split(",")[0] for line in bounds.stdout.strip().split("\n")[1:]]
+        assert ("small_coupling" in names) == stated
+        sweep = invoke(runner, ["sweep", *base, "--sweep", f"k={k}"])
+        if stated:
+            assert sweep.exit_code == 0
+            p = CoupledParams(a=-1.0, d=-1.0, k=10.0, x1=1.0)
+            assert float(sweep.stdout.split("\n")[1].split(",")[3]) == coupled_small_k_bound(p)
+        else:
+            assert sweep.exit_code == 2
+            assert sweep.stderr == "error: small-coupling bound assumes k <= 10.0\n"
+
 
 class TestSimulateCommand:
     SIM_ARGS = ["simulate", *OSC_ARGS, "--paths", "1500", "--seed", "21", "--dt", "0.001"]
@@ -246,6 +263,42 @@ class TestConfigHandling:
         result = invoke(runner, ["sweep", "--config", str(path)])
         assert result.exit_code == 0
         assert len(result.output.strip().split("\n")) == 3
+
+    @pytest.mark.parametrize("change", [
+        {"gamma": "5"},
+        {"t_count": 5.5, "t_end": 1.0},
+        {"t_count": 5.0, "t_end": 1.0},
+        {"gamma": True},
+        {"t_count": True, "t_end": 1.0},
+        {"model": 3},
+        {"format": ["csv"]},
+        {"sweep": 5},
+    ], ids=lambda change: json.dumps(change))
+    def test_config_value_of_wrong_type_exits_two(self, runner, tmp_path, change):
+        key = next(iter(change))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"model": "oscillator", "gamma": 5, "omega": 2, "beta": 1,
+                                    **change}))
+        result = invoke(runner, ["law", "--config", str(path)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"error: config value {key} must be ")
+        assert result.stderr.count("\n") == 1
+
+    def test_integer_config_values_are_numbers(self, runner, tmp_path):
+        path = tmp_path / "ints.json"
+        path.write_text(json.dumps({"model": "oscillator", "gamma": 5, "omega": 2, "beta": 1,
+                                    "x0": 1, "t_end": 2, "t_count": 5}))
+        from_config = invoke(runner, ["law", "--config", str(path)])
+        from_flags = invoke(runner, ["law", *OSC_ARGS, "--t-end", "2", "--t-count", "5"])
+        assert from_config.exit_code == 0
+        assert from_config.stdout == from_flags.stdout
+
+    @pytest.mark.parametrize("command", ["law", "bounds", "sweep", "simulate"])
+    def test_lone_t_spacing_is_refused(self, runner, command):
+        sweep = ["--sweep", "gamma=5"] if command == "sweep" else []
+        result = invoke(runner, [command, *OSC_ARGS, "--t-spacing", "geometric", *sweep])
+        assert result.exit_code == 2
+        assert result.stderr == "error: a custom grid needs --t-end and --t-count\n"
 
     def test_geometric_grid_requires_positive_start(self, runner):
         result = invoke(runner, ["law", *OSC_ARGS, "--t-start", "0", "--t-end", "1",
