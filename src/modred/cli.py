@@ -92,17 +92,24 @@ def _load_config(path: str | None, flags: dict) -> RunConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if isinstance(data.get("sweep"), dict):
             spec = data["sweep"]
-            try:
-                values = ",".join(repr(float(v)) for v in spec["values"])
-                data["sweep"] = f"{spec['param']}={values}"
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError("sweep object needs 'param' and numeric 'values'") from exc
+            values = spec.get("values")
+            if "param" not in spec or not isinstance(values, list):
+                raise ConfigError("sweep object needs 'param' and numeric 'values'")
+            for value in values:
+                if not _takes("float", value):
+                    raise ConfigError(f"config value sweep must be float values, not {value!r}")
+            data["sweep"] = f"{spec['param']}=" + ",".join(map(repr, values))
     merged = {**data, **{key: value for key, value in flags.items() if value is not None}}
     for key, value in merged.items():
         kind = _FIELDS[key]
-        if value is not None and (isinstance(value, bool) or not isinstance(value, _TAKES[kind])):
+        if value is not None and not _takes(kind, value):
             raise ConfigError(f"config value {key} must be {kind}, not {value!r}")
     return RunConfig(**merged)
+
+
+def _takes(kind: str, value) -> bool:
+    """Whether a config value is of the kind; a bool is never a number."""
+    return not isinstance(value, bool) and isinstance(value, _TAKES[kind])
 
 
 def _family(cfg: RunConfig) -> Family:

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import modred
 from modred import (
     CoupledParams,
     OscillatorParams,
@@ -273,6 +278,10 @@ class TestConfigHandling:
         {"model": 3},
         {"format": ["csv"]},
         {"sweep": 5},
+        {"sweep": {"param": "gamma", "values": [True, "7"]}},
+        {"sweep": {"param": "gamma", "values": [5, "7"]}},
+        {"sweep": {"param": "gamma", "values": [5, False]}},
+        {"sweep": {"param": "gamma", "values": [5, None]}},
     ], ids=lambda change: json.dumps(change))
     def test_config_value_of_wrong_type_exits_two(self, runner, tmp_path, change):
         key = next(iter(change))
@@ -416,3 +425,12 @@ def test_model_choices_are_the_family_table():
     for command in main.commands.values():
         (option,) = [param for param in command.params if param.name == "model"]
         assert list(option.type.choices) == list(FAMILIES)
+
+
+def test_import_leaves_thread_pools_out():
+    """Only a multi-worker simulation imports concurrent.futures."""
+    src = str(pathlib.Path(modred.__file__).parents[1])
+    code = "import sys, modred, modred.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout == "False\n"

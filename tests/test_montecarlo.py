@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -186,12 +187,38 @@ class TestSimulateEnsembles:
 
     @pytest.mark.parametrize("order", ["2d-1d", "1d-2d"])
     def test_equals_separate_calls_past_one_chunk(self, order):
-        # 2100 2-D steps cross the 2048-step chunk; 1100 paths make two blocks
+        # 2100 2-D steps cross many chunk edges; 1100 paths make two blocks
         cfg = SimConfig(dt=1e-3, n_steps=2100, n_paths=1100, seed=5)
         pairs = _osc_pairs("gaussian", order)
         got = simulate_ensembles(pairs, cfg, [0.0, 2.1], workers=2)
         for sets, (model, start) in zip(got, pairs):
             _bitwise_equal(sets, simulate(model, start, cfg, [0.0, 2.1], workers=1))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_chunk_width_does_not_change_results(self, monkeypatch, workers):
+        # the default chunk against 2048-step chunks, the former width, at a
+        # realistic size: batching must not change a bit
+        cfg = SimConfig(dt=1e-3, n_steps=2100, n_paths=1100, seed=5)
+        pairs = _osc_pairs("gaussian", "2d-1d")
+        got = simulate_ensembles(pairs, cfg, [0.0, 1.05, 2.1], workers=workers)
+        monkeypatch.setattr(montecarlo, "_CHUNK_STEPS", 2048)
+        wide = simulate_ensembles(pairs, cfg, [0.0, 1.05, 2.1], workers=workers)
+        for sets, reference in zip(got, wide):
+            _bitwise_equal(sets, reference)
+
+    @pytest.mark.parametrize("n_steps", [2000, 8000])
+    def test_noise_buffer_does_not_grow_with_the_horizon(self, n_steps):
+        # one block's chunk is 1024 x 500 normals (4.1 MB) at any horizon;
+        # chunks of 4096 normals read 33.6 MB here
+        cfg = SimConfig(dt=1e-3, n_steps=n_steps, n_paths=1024, seed=5)
+        pairs = _osc_pairs("gaussian", "2d-1d")
+        tracemalloc.start()
+        try:
+            simulate_ensembles(pairs, cfg, [0.0, n_steps * cfg.dt], workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_unstable_second_ensemble_rejected(self):
         cfg = SimConfig(dt=0.2, n_steps=10, n_paths=10, seed=0)
